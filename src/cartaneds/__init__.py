@@ -8,23 +8,19 @@ involutivity test and prolongation until an involutive system is reached.
 
 from .scalars import (Chart, Dependent, LinearSolveResult, NonLinearInUnknowns,
                       Scalar, solve_linear, random_rank)
-from .exterior import (Form, MultiVector, Substitution, coefficients,
-                       contract_multivector, contract_vector, d, pullback,
-                       volume_form, wedge)
+from .exterior import Form, MultiVector, Substitution, volume_form
 from .pfaffian import (CharacterVector, EmptyLocus, InvolutivityReport,
-                       PfaffianSystem, StructureEquations, adapt_coframe,
-                       cartan_characters, cartan_test, essential_torsion,
-                       extract_zero_forms, make_system, prolong,
+                       PfaffianSystem, StructureEquations, cartan_characters,
+                       cartan_test, essential_torsion, make_system, prolong,
                        prolongation_dim, restrict, structure_equations)
 from .hamilton import (DegreeMismatch, HamiltonLocus, LepageSpace,
                        MissingJetStructure, VariationalProblem,
                        build_lepage_classical, build_lepage_explicit,
                        build_lepage_griffiths, contact_forms, grassmann_extend,
                        hamilton_equations, residual_check, solve_hamilton_locus)
-from .ladder import (BudgetExceeded, ConstraintLadder, LadderStep,
-                     NeedsUserBranch, classify_constraint, run, run_system,
-                     summarize)
-from .problems import ParseError, ProblemDocument, parse_problem, serialize_problem
+from .ladder import (ConstraintLadder, LadderStep, NeedsUserBranch,
+                     classify_constraint, run, run_system)
+from .problems import ParseError, ProblemDocument, parse_problem
 from .report import ReportDocument, analyze, emit, parse_report
 
 __version__ = "0.1.0"

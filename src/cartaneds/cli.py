@@ -2,25 +2,28 @@
 
     cartaneds analyze FILE... [--param name=p/q] [--seed N] [--max-prolong N]
                       [--max-steps N] [--format text|structured] [--out PATH]
-                      [--jobs N]
     cartaneds fixtures list
-    cartaneds fixtures run [--jobs N] [--seed N]
+    cartaneds fixtures run [--seed N]
 
 Exit codes: 0 involutive, 1 empty locus, 2 needs-user-branch,
-3 budget exceeded, 64 usage, 65 parse/validation error.
+3 budget exceeded, 64 usage (including a budget below 1),
+65 parse/validation error, 70 internal error (degenerate rank sampling or
+coframe, a nonlinear Pfaffian, a violated Cartan inequality, a colliding
+prolongation coordinate name).  Exits 65 and 70 print one `error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from .exterior import CoframeDegenerate
 from .hamilton import DegreeMismatch, MissingJetStructure
 from .ladder import NeedsUserBranch, VERDICT_BRANCH, VERDICT_BUDGET, VERDICT_EMPTY, VERDICT_INVOLUTIVE
+from .pfaffian import NotLinearPfaffian
 from .problems import ParseError, parse_problem
 from .report import analyze, emit
 from .scalars import NonLinearInUnknowns
@@ -33,6 +36,7 @@ EXIT_FOR_VERDICT = {
 }
 EXIT_USAGE = 64
 EXIT_PARSE = 65
+EXIT_SOFTWARE = 70
 
 FIXTURE_NAMES = [
     "sundermeyer", "maxwell", "integrability", "strong-integrability",
@@ -69,39 +73,25 @@ def _parse_params(pairs):
     return out
 
 
-def _analyze_text(text, overrides, args):
-    doc = parse_problem(text, param_overrides=overrides)
-    report = analyze(doc, seed=args.seed, max_prolongations=args.max_prolong,
-                     max_steps=args.max_steps)
-    return report
-
-
 def cmd_analyze(args) -> int:
     overrides = _parse_params(args.param)
     texts = []
     for f in args.files:
         path = Path(f)
         if path.exists():
-            texts.append((f, path.read_text()))
+            texts.append(path.read_text())
         else:
             raise ParseError(f"no such problem file: {f}")
-
-    def work(item):
-        name, text = item
-        return name, _analyze_text(text, overrides, args)
-
-    if args.jobs and args.jobs > 1 and len(texts) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, texts))
-    else:
-        results = [work(t) for t in texts]
-    payload = b"".join(emit(rep, args.format) for _, rep in results)
+    reports = [analyze(parse_problem(text, param_overrides=overrides), seed=args.seed,
+                       max_prolongations=args.max_prolong, max_steps=args.max_steps)
+               for text in texts]
+    payload = b"".join(emit(rep, args.format) for rep in reports)
     if args.out:
         Path(args.out).write_bytes(payload)
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.flush()
-    return max(EXIT_FOR_VERDICT.get(rep.verdict, 3) for _, rep in results)
+    return max(EXIT_FOR_VERDICT.get(rep.verdict, 3) for rep in reports)
 
 
 def cmd_fixtures(args) -> int:
@@ -114,32 +104,26 @@ def cmd_fixtures(args) -> int:
             else:
                 print(n)
         return 0
-    jobs = []
+    worst = 0
     for n in FIXTURE_NAMES:
         if n in ("vacuous-lepage", "inconsistent"):
             continue  # negative fixtures are exercised by the test suite
         for label, overrides in FIXTURE_CASES.get(n, [("", {})]):
-            jobs.append((n, label, overrides))
-
-    def work(item):
-        n, label, overrides = item
-        doc = parse_problem(fixture_text(n),
-                            param_overrides={k: Fraction(v) for k, v in overrides.items()})
-        rep = analyze(doc, seed=args.seed)
-        return n, label, rep
-
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
-    worst = 0
-    for n, label, rep in results:
-        chars = next((s["characters"] for s in reversed(rep.steps) if s["characters"]), [])
-        tag = f" [{label}]" if label else ""
-        print(f"{n}{tag}: {rep.verdict}  steps={len(rep.steps)}  characters={chars}")
-        worst = max(worst, EXIT_FOR_VERDICT.get(rep.verdict, 3))
+            doc = parse_problem(fixture_text(n),
+                                param_overrides={k: Fraction(v) for k, v in overrides.items()})
+            rep = analyze(doc, seed=args.seed)
+            chars = next((s["characters"] for s in reversed(rep.steps) if s["characters"]), [])
+            tag = f" [{label}]" if label else ""
+            print(f"{n}{tag}: {rep.verdict}  steps={len(rep.steps)}  characters={chars}")
+            worst = max(worst, EXIT_FOR_VERDICT.get(rep.verdict, 3))
     return worst
+
+
+def _budget(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"budgets must be >= 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,14 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("files", nargs="+")
     a.add_argument("--param", action="append", metavar="name=p/q")
     a.add_argument("--seed", type=int, default=None)
-    a.add_argument("--max-prolong", type=int, default=None, dest="max_prolong")
-    a.add_argument("--max-steps", type=int, default=None, dest="max_steps")
+    a.add_argument("--max-prolong", type=_budget, default=None, dest="max_prolong")
+    a.add_argument("--max-steps", type=_budget, default=None, dest="max_steps")
     a.add_argument("--format", choices=("text", "structured"), default="text")
     a.add_argument("--out")
-    a.add_argument("--jobs", type=int, default=1)
     f = sub.add_parser("fixtures", help="list or run the bundled fixtures")
     f.add_argument("action", choices=("list", "run"))
-    f.add_argument("--jobs", type=int, default=1)
     f.add_argument("--seed", type=int, default=None)
     return ap
 
@@ -181,6 +163,12 @@ def main(argv=None) -> int:
     except NonLinearInUnknowns as err:
         print(f"nonlinear constraint: {err}", file=sys.stderr)
         return 2
+    except (ArithmeticError, CoframeDegenerate, NotLinearPfaffian, RuntimeError) as err:
+        # failures of the engine itself, never of the input: AllSamplesDegenerate
+        # and the Cartan-inequality check are ArithmeticErrors, the prolongation
+        # name collision a RuntimeError
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

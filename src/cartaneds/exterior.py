@@ -219,22 +219,6 @@ class MultiVector:
         return out
 
 
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
-
-
-def d(a: Form) -> Form:
-    return a.d()
-
-
-def contract_vector(vector: Mapping[str, Scalar], a: Form) -> Form:
-    return a.contract(vector)
-
-
-def contract_multivector(mv: MultiVector, a: Form) -> Form:
-    return mv.contract(a)
-
-
 # ---------------------------------------------------------------------------
 # substitution / pullback
 # ---------------------------------------------------------------------------
@@ -289,10 +273,6 @@ class Substitution:
 
 def identity_substitution(chart: Chart) -> Substitution:
     return Substitution(chart, {})
-
-
-def pullback(a: Form, s: Substitution) -> Form:
-    return s.form(a)
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +346,6 @@ class CoframeExpansion:
             out[name] = [(j, prow[n + j]) for j in range(n) if n + j in prow]
         return out
 
-    def expand_one_form(self, f: Form) -> dict:
-        """Coefficients of a 1-form over the coframe labels."""
-        out: dict = {}
-        for (name,), coef in f.terms.items():
-            for j, c in self.coords[name]:
-                s = out.get(j, ZERO) + coef * c
-                if s.is_zero():
-                    out.pop(j, None)
-                else:
-                    out[j] = s
-        return out
-
     def expand_two_form(self, f: Form) -> dict:
         """Coefficients over ordered label pairs (i < j) of the coframe wedge basis."""
         out: dict = {}
@@ -396,23 +364,6 @@ class CoframeExpansion:
                     else:
                         out[key] = s
         return out
-
-
-def coefficients(a: Form, coframe: Sequence[tuple], seed: int = 0) -> dict:
-    """Exact expansion of a form in wedge products of a coframe.
-
-    For degree 0/1/2 (all this engine needs); keys are label tuples.
-    """
-    exp = CoframeExpansion(a.chart, coframe, seed)
-    if a.degree == 0:
-        return {(): a.as_scalar()} if not a.is_zero() else {}
-    if a.degree == 1:
-        flat = exp.expand_one_form(a)
-        return {(exp.labels[j],): c for j, c in flat.items()}
-    if a.degree == 2:
-        flat = exp.expand_two_form(a)
-        return {(exp.labels[i], exp.labels[j]): c for (i, j), c in flat.items()}
-    raise NotImplementedError("coefficient extraction implemented for degrees <= 2")
 
 
 def vertical_degree(a: Form) -> int:

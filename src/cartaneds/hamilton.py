@@ -18,7 +18,7 @@ from .scalars import (Chart, Dependent, NonLinearInUnknowns, ROLE_FIELD,
                       _linear_split, solve_linear)
 from .exterior import (Form, MultiVector, Substitution, vertical_degree,
                        volume_contraction)
-from .pfaffian import EmptyLocus, PfaffianSystem, make_system
+from .pfaffian import EmptyLocus, PfaffianSystem, _dedupe, make_system
 
 
 class MissingJetStructure(ValueError):
@@ -215,8 +215,8 @@ def _is_linear_in(eq: Scalar, unknowns: set) -> bool:
         return False
 
 
-def solve_hamilton_locus(ls: LepageSpace, gchart: Chart, eqs: Sequence[Scalar],
-                         seed: int = 0) -> HamiltonLocus:
+def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,
+                         eqs: Sequence[Scalar]) -> HamiltonLocus:
     """Cut the Hamilton submanifold out of the Grassmann bundle.
 
     Z-free equations are solved first (multipliers before jets before fields)
@@ -298,8 +298,8 @@ def solve_hamilton_locus(ls: LepageSpace, gchart: Chart, eqs: Sequence[Scalar],
         thetas.append(subst.form(Form(gchart, 1, terms)))
     system = make_system(new_chart, thetas, assumptions=assumptions)
     return HamiltonLocus(grassmann_chart=gchart, solved=subst,
-                         base_constraints=_uniq(base_constraints),
-                         assumptions=_uniq(system.assumptions),
+                         base_constraints=_dedupe(base_constraints),
+                         assumptions=_dedupe(system.assumptions),
                          pfaffian=system)
 
 
@@ -310,14 +310,6 @@ def _peel_assumed_factor(eq: Scalar, assumptions: Sequence[Scalar]):
         if q is not None:
             return Scalar(q, eq.den)
     return None
-
-
-def _uniq(items):
-    out = []
-    for s in items:
-        if all(s != t for t in out):
-            out.append(s)
-    return out
 
 
 def residual_check(hl: HamiltonLocus, ls: LepageSpace) -> bool:

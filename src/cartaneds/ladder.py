@@ -18,8 +18,7 @@ from .exterior import Substitution
 from .hamilton import HamiltonLocus
 from .pfaffian import (CharacterVector, EmptyLocus, PfaffianSystem,
                        cartan_characters, cartan_test, essential_torsion,
-                       extract_zero_forms, prolong, restrict,
-                       structure_equations)
+                       prolong, restrict, structure_equations)
 
 
 class NeedsUserBranch(ValueError):
@@ -29,10 +28,6 @@ class NeedsUserBranch(ValueError):
     def __init__(self, constraint: Scalar):
         self.constraint = constraint
         super().__init__(f"constraint needs a case split: {constraint} = 0")
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 VERDICT_INVOLUTIVE = "involutive"
@@ -60,17 +55,6 @@ class ConstraintLadder:
     verdict: str
     substitution: Substitution        # composed: Grassmann chart -> final chart
     hamilton: Optional[HamiltonLocus] = None
-
-    def characters_trail(self) -> list:
-        return [s.characters.s for s in self.steps if s.characters is not None]
-
-    def all_assumptions(self) -> list:
-        out = []
-        for s in self.steps:
-            for a in s.assumptions:
-                if a not in out:
-                    out.append(a)
-        return out
 
 
 def redundant_assumption(a: Scalar, seen: Sequence[Scalar]) -> bool:
@@ -173,7 +157,7 @@ def run_system(sys: PfaffianSystem, subst: Substitution, seed: int,
             added_coordinates=list(added)))
 
     while len(steps) < max_steps:
-        zf = extract_zero_forms(sys)
+        zf = sys.zero_forms
         if zf:
             try:
                 nxt, sub = _restrict_with_policy(sys, zf)
@@ -225,25 +209,3 @@ def run(hl: HamiltonLocus, seed: int, max_prolongations: int = 4,
     return run_system(hl.pfaffian, hl.solved, seed,
                       max_prolongations=max_prolongations,
                       max_steps=max_steps, hamilton=hl)
-
-
-def summarize(ladder: ConstraintLadder) -> dict:
-    """Deterministic plain-data rendering of a ladder (steps as strings)."""
-    steps = []
-    for s in ladder.steps:
-        steps.append({
-            "level": s.level,
-            "kind": s.kind,
-            "base_constraints": [str(c) for c in s.new_base_constraints],
-            "fiber_constraints": [str(c) for c in s.new_fiber_constraints],
-            "characters": list(s.characters.s) if s.characters else [],
-            "assumptions": list(s.assumptions),
-            "added_coordinates": list(s.added_coordinates),
-        })
-    out = {
-        "verdict": ladder.verdict,
-        "steps": steps,
-        "final_generators": [str(g) for g in ladder.final_system.generators]
-        if ladder.final_system is not None else [],
-    }
-    return out

@@ -15,11 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .scalars import (AllSamplesDegenerate, Chart, Dependent, ROLE_GRASSMANN,
-                      Scalar, SeedStream, ZERO, ONE, rank_fractions,
-                      random_rank, sample_point, solve_linear)
-from .exterior import (CoframeDegenerate, CoframeExpansion, Form, Substitution,
-                       identity_substitution)
+from .scalars import (Chart, Dependent, ROLE_GRASSMANN, Scalar, SeedStream,
+                      ZERO, ONE, generic_ranks, solve_linear)
+from .exterior import CoframeExpansion, Form, Substitution, identity_substitution
 
 
 class EmptyLocus(ValueError):
@@ -153,29 +151,6 @@ def make_system(chart: Chart, forms: Sequence[Form], zero_forms: Sequence[Scalar
     return PfaffianSystem(chart=chart, generators=gens, pivots=pivots,
                           zero_forms=_dedupe(list(zero_forms) + extra_zero),
                           assumptions=_dedupe(list(assumptions) + extra_assumptions))
-
-
-def adapt_coframe(sys: PfaffianSystem, seed: int = 0) -> PfaffianSystem:
-    """Verify the (theta, omega, pi) coframe has full rank; returns the system.
-
-    The complement is determined by the reduced generators, so the check is
-    the only work left; failure means the generators degenerated somewhere.
-    """
-    cof = sys.coframe()
-    names = list(sys.chart.names)
-    matrix = [[f.terms.get((n,), ZERO) for n in names] for _, f in cof]
-    if len(cof) != len(names) or random_rank(matrix, seed) != len(names):
-        raise CoframeDegenerate("adapted coframe is not of full pointwise rank")
-    return sys
-
-
-def extract_zero_forms(sys: PfaffianSystem) -> list:
-    """Degree-0 content of the ideal: carried zero-forms.
-
-    Generator degenerations are demoted eagerly (make_system/restrict), so
-    the carried list is already complete.
-    """
-    return list(sys.zero_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -320,34 +295,21 @@ def cartan_characters(se: StructureEquations, seed: int, samples: int = 3,
     for c in se.tableau.values():
         names |= c.variables()
     stream = SeedStream(seed ^ 0xC0FFEE)
-    best = None
-    for _ in range(samples):
-        ranks = None
-        for _retry in range(8):
-            point = sample_point(names, stream)
-            if flag == "coordinate":
-                dirs = [[1 if i == k else 0 for i in range(m)] for k in range(max(m - 1, 0))]
-            else:
-                dirs = [[stream.fraction() for _ in range(m)] for _ in range(max(m - 1, 0))]
-            try:
-                An = {k: v.evaluate(point) for k, v in se.tableau.items()}
-            except ZeroDivisionError:
-                continue
-            ranks = []
-            rows = []
-            for k in range(m - 1):
-                for a in range(s0):
-                    rows.append([sum(An.get((a, e, i), 0) * dirs[k][i] for i in range(m))
-                                 for e in range(t)])
-                ranks.append(rank_fractions(rows) if rows and t else 0)
-            break
-        if ranks is None:
-            continue
-        cand = tuple(ranks)
-        if best is None or cand > best:
-            best = cand
-    if best is None:
-        raise AllSamplesDegenerate("character sampling degenerate")
+
+    def polar_matrices(point):
+        if flag == "coordinate":
+            dirs = [[1 if i == k else 0 for i in range(m)] for k in range(max(m - 1, 0))]
+        else:
+            dirs = [[stream.fraction() for _ in range(m)] for _ in range(max(m - 1, 0))]
+        An = {k: v.evaluate(point) for k, v in se.tableau.items()}
+        rows = []
+        for k in range(m - 1):
+            for a in range(s0):
+                rows.append([sum(An.get((a, e, i), 0) * dirs[k][i] for i in range(m))
+                             for e in range(t)])
+        return [rows[:s0 * (k + 1)] for k in range(m - 1)]
+
+    best = generic_ranks(polar_matrices, names, stream, samples)
     codims = (s0,) + tuple(s0 + r for r in best)
     s = []
     prev = 0
@@ -371,32 +333,22 @@ def prolongation_dim(se: StructureEquations, seed: int, samples: int = 3) -> int
     names = set()
     for c in se.tableau.values():
         names |= c.variables()
-    stream = SeedStream(seed ^ 0xD1CE)
-    best = None
-    for _ in range(samples):
-        got = None
-        for _retry in range(8):
-            point = sample_point(names, stream)
-            try:
-                An = {k: v.evaluate(point) for k, v in se.tableau.items()}
-            except ZeroDivisionError:
-                continue
-            rows = []
-            for a in range(s0):
-                for i in range(m):
-                    for j in range(i + 1, m):
-                        row = [0] * (t * m)
-                        for e in range(t):
-                            row[e * m + i] = An.get((a, e, j), 0)
-                            row[e * m + j] = -An.get((a, e, i), 0)
-                        if any(row):
-                            rows.append(row)
-            got = rank_fractions(rows) if rows else 0
-            break
-        if got is not None:
-            best = got if best is None else max(best, got)
-    if best is None:
-        raise AllSamplesDegenerate("prolongation sampling degenerate")
+
+    def absorption_matrix(point):
+        An = {k: v.evaluate(point) for k, v in se.tableau.items()}
+        rows = []
+        for a in range(s0):
+            for i in range(m):
+                for j in range(i + 1, m):
+                    row = [0] * (t * m)
+                    for e in range(t):
+                        row[e * m + i] = An.get((a, e, j), 0)
+                        row[e * m + j] = -An.get((a, e, i), 0)
+                    if any(row):
+                        rows.append(row)
+        return [rows]
+
+    (best,) = generic_ranks(absorption_matrix, names, SeedStream(seed ^ 0xD1CE), samples)
     return t * m - best
 
 

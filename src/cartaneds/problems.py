@@ -526,16 +526,17 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
         else:
             raise ParseError(f"unknown lepage key {key!r}", ln)
 
-    seed, maxp, maxs = 0, 4, 32
+    run = {"seed": 0, "max_prolongations": 4, "max_steps": 32}
     for ln, key, value in sections["run"]:
-        if key == "seed":
-            seed = int(value)
-        elif key == "max_prolongations":
-            maxp = int(value)
-        elif key == "max_steps":
-            maxs = int(value)
-        else:
+        if key not in run:
             raise ParseError(f"unknown run key {key!r}", ln)
+        try:
+            run[key] = int(value)
+        except ValueError:
+            raise ParseError(f"run key {key!r} needs an integer, got {value!r}", ln)
+        if key != "seed" and run[key] < 1:
+            raise ParseError(f"{key} must be >= 1", ln)
+    seed, maxp, maxs = run["seed"], run["max_prolongations"], run["max_steps"]
 
     shapes = _resolve_multiplier_shapes(multiplier_shapes, generators, ctx) \
         if mode == "griffiths" else []
@@ -622,8 +623,3 @@ def _resolve_multiplier_shapes(lines, generators, ctx: ExprContext):
             raise ParseError("multiplier expression must be linear-homogeneous in the new names", ln)
         shapes.append((gname, basis))
     return shapes
-
-
-def serialize_problem(doc: ProblemDocument) -> str:
-    """The canonical textual rendering; parse(serialize(parse(t))) == parse(t)."""
-    return doc.source if doc.source.endswith("\n") else doc.source + "\n"

@@ -56,7 +56,7 @@ def analyze(doc: ProblemDocument, seed: Optional[int] = None,
     gchart = grassmann_extend(ls)
     eqs = hamilton_equations(ls, gchart)
     try:
-        hl = solve_hamilton_locus(ls, gchart, eqs, seed=seed)
+        hl = solve_hamilton_locus(ls, gchart, eqs)
     except EmptyLocus:
         problem = _problem_echo(doc, None, ls)
         return ReportDocument(problem=problem, seed=seed, verdict="empty",

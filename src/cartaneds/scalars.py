@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd as _int_gcd
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 Monomial = tuple  # tuple[tuple[str, int], ...]
 Poly = dict  # dict[Monomial, Fraction]
@@ -77,10 +77,6 @@ def _mono_cmp(a: Monomial, b: Monomial) -> int:
 _mono_key = cmp_to_key(_mono_cmp)
 
 
-def p_zero() -> Poly:
-    return {}
-
-
 def p_const(c) -> Poly:
     c = Fraction(c)
     return {_ONE_MONO: c} if c else {}
@@ -111,13 +107,6 @@ def p_neg(a: Poly) -> Poly:
 
 def p_sub(a: Poly, b: Poly) -> Poly:
     return p_add(a, p_neg(b))
-
-
-def p_scale(a: Poly, c) -> Poly:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {m: cc * c for m, cc in a.items()}
 
 
 def p_mul(a: Poly, b: Poly) -> Poly:
@@ -670,9 +659,6 @@ class Chart:
     def is_independent(self, name: str) -> bool:
         return name in self._pos and self._pos[name] < len(self.independent)
 
-    def dependent_info(self, name: str) -> Dependent:
-        return self._dep[name]
-
     def level_of(self, name: str) -> int:
         d = self._dep.get(name)
         return d.level if d else 0
@@ -680,9 +666,6 @@ class Chart:
     def role_of(self, name: str) -> Optional[str]:
         d = self._dep.get(name)
         return d.role if d else None
-
-    def max_level(self) -> int:
-        return max((d.level for d in self.dependent), default=0)
 
     def extend(self, new_dependents: Sequence[Dependent]) -> "Chart":
         return Chart(self.independent, self.dependent + tuple(new_dependents), self.parameters)
@@ -867,15 +850,20 @@ def sample_point(names: Iterable[str], stream: SeedStream) -> dict:
 
 
 def rank_fractions(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of an exact rational matrix via elimination modulo two large primes."""
-    best = 0
+    """Rank of an exact rational matrix via elimination modulo two large primes.
+
+    Raises ZeroDivisionError when each prime divides some denominator, so
+    that no matrix reads as rank 0 for want of a usable prime.
+    """
+    ranks = []
     for p in _PRIMES:
         try:
-            r = _rank_mod(rows, p)
+            ranks.append(_rank_mod(rows, p))
         except ZeroDivisionError:
             continue
-        best = max(best, r)
-    return best
+    if not ranks:
+        raise ZeroDivisionError("every prime divides a denominator of the matrix")
+    return max(ranks)
 
 
 def _rank_mod(rows, p: int) -> int:
@@ -909,34 +897,52 @@ def _rank_mod(rows, p: int) -> int:
     return rank
 
 
-def evaluate_matrix(rows: Sequence[Sequence[Scalar]], point: Mapping[str, Fraction]):
-    return [[c.evaluate(point) for c in row] for row in rows]
+def generic_ranks(matrices: Callable[[dict], Sequence], names: Iterable[str],
+                  stream: SeedStream, samples: int) -> tuple:
+    """Generic ranks of point-dependent rational matrices, by seeded sampling.
+
+    matrices(point) returns the Fraction matrices to rank at a point drawn
+    over names; it may draw further values from stream (flag directions).
+    A point where it or rank_fractions raises ZeroDivisionError (a vanishing
+    denominator) is redrawn, up to 8 times per sample.  The result is the
+    largest tuple of ranks over the samples.
+
+    The error is one-sided: a sampled rank never exceeds the generic rank r.
+    A minor that vanishes identically vanishes at every point and modulo
+    every prime, so a sample can only fall short of r, and only when the
+    point is a zero of a nonzero r x r minor or the prime divides its value.
+    For a minor of degree D and coordinates drawn uniformly from a finite
+    set S the former has probability at most D/|S| (Schwartz 1980; Zippel
+    1979).  Maximizing over samples thus only moves toward r.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    best = None
+    for _ in range(samples):
+        for _retry in range(8):
+            point = sample_point(names, stream)
+            try:
+                got = tuple(rank_fractions(m) if m and m[0] else 0 for m in matrices(point))
+            except ZeroDivisionError:
+                continue
+            if best is None or got > best:
+                best = got
+            break
+    if best is None:
+        raise AllSamplesDegenerate("every sample point hit a vanishing denominator")
+    return best
 
 
 def random_rank(matrix: Sequence[Sequence[Scalar]], seed: int, samples: int = 3) -> int:
     """Generic rank of a matrix of scalars: max exact rank over seeded samples."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        return 0
     names = set()
     for row in rows:
         for c in row:
             names |= c.variables()
-    stream = SeedStream(seed)
-    best = None
-    for _ in range(samples):
-        got = None
-        for _retry in range(8):
-            point = sample_point(names, stream)
-            try:
-                got = rank_fractions(evaluate_matrix(rows, point))
-                break
-            except ZeroDivisionError:
-                continue
-        if got is not None:
-            best = got if best is None else max(best, got)
-    if best is None:
-        raise AllSamplesDegenerate("every sample hit a denominator zero")
-    return best
+
+    def evaluated(point):
+        return [[[c.evaluate(point) for c in row] for row in rows]]
+
+    (rank,) = generic_ranks(evaluated, names, SeedStream(seed), samples)
+    return rank

@@ -1,11 +1,16 @@
 import json
 from pathlib import Path
 
+import pytest
 from jsonschema import validate
 
+from cartaneds import pfaffian
 from cartaneds.cli import fixture_text, main
+from cartaneds.exterior import CoframeDegenerate
+from cartaneds.pfaffian import NotLinearPfaffian
 from cartaneds.problems import parse_problem
 from cartaneds.report import analyze, emit, parse_report
+from cartaneds.scalars import AllSamplesDegenerate
 
 FIXDIR = Path(__file__).resolve().parent.parent / "src" / "cartaneds" / "fixtures"
 SCHEMA = json.loads(
@@ -51,6 +56,31 @@ def test_usage_exit_64(capsys):
     assert main(["bogus"]) == 64
 
 
+@pytest.mark.parametrize("flag", ["--max-prolong", "--max-steps"])
+def test_budget_below_one_exit_64(capsys, flag):
+    # exit 1 would read as the empty-locus verdict
+    code, out, _ = run_cli(capsys, "analyze", str(FIXDIR / "maxwell.prob"), flag, "0")
+    assert code == 64
+    assert "verdict" not in out
+
+
+@pytest.mark.parametrize("err", [
+    AllSamplesDegenerate("every sample point hit a vanishing denominator"),
+    ArithmeticError("Cartan inequality violated: rank sampling failed"),
+    CoframeDegenerate("coframe coefficient matrix is not of full rank"),
+    NotLinearPfaffian("pi/\\pi term"),
+    RuntimeError("prolongation coordinate u_x collides with the chart"),
+], ids=lambda e: type(e).__name__)
+def test_internal_error_exit_70(capsys, monkeypatch, err):
+    def fail(*args, **kwargs):
+        raise err
+    monkeypatch.setattr(pfaffian, "prolongation_dim", fail)
+    code, out, errout = run_cli(capsys, "analyze", str(FIXDIR / "integrability.prob"))
+    assert code == 70
+    assert out == ""
+    assert errout.startswith("error: ") and errout.count("\n") == 1
+
+
 def test_budget_exceeded_exit_three(capsys):
     code, out, _ = run_cli(capsys, "analyze", str(FIXDIR / "strong-integrability.prob"),
                            "--max-prolong", "1")
@@ -70,9 +100,9 @@ def test_param_override_and_structured_out(tmp_path, capsys):
     assert payload["verdict"] == "involutive"
 
 
-def test_jobs_multiple_files(capsys):
+def test_analyze_multiple_files(capsys):
     code, out, _ = run_cli(capsys, "analyze", str(FIXDIR / "integrability.prob"),
-                           str(FIXDIR / "affine.prob"), "--jobs", "2")
+                           str(FIXDIR / "affine.prob"))
     assert code == 0
     assert out.count("verdict: involutive") == 2
 
@@ -128,8 +158,11 @@ def test_byte_identity_across_processes():
     cmd = [sys.executable, "-m", "cartaneds.cli", "analyze",
            str(FIXDIR / "saunders.prob"), "--format", "structured"]
     outs = []
+    # the child imports the same package as this process, installed or not
+    path = os.pathsep.join(filter(None, [str(FIXDIR.parent.parent),
+                                         os.environ.get("PYTHONPATH")]))
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(cmd, capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
@@ -145,7 +178,7 @@ def test_seed_flag_overrides_run_section(tmp_path, capsys):
 
 
 def test_fixtures_run_smoke(capsys):
-    code, out, _ = run_cli(capsys, "fixtures", "run", "--jobs", "2")
+    code, out, _ = run_cli(capsys, "fixtures", "run")
     assert code == 0
     lines = [l for l in out.splitlines() if l.strip()]
     assert len(lines) == 10

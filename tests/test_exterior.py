@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cartaneds.scalars import Chart, Dependent, Scalar, ONE, ZERO
-from cartaneds.exterior import (CoframeDegenerate, Form, MultiVector,
-                                Substitution, coefficients,
-                                identity_substitution, pullback,
-                                vertical_degree, volume_contraction,
-                                volume_form)
+from cartaneds.exterior import (CoframeDegenerate, CoframeExpansion, Form,
+                                MultiVector, Substitution,
+                                identity_substitution, vertical_degree,
+                                volume_contraction, volume_form)
 
 CH = Chart(["x", "y", "z"], [Dependent("u"), Dependent("p"), Dependent("q"),
                              Dependent("r")])
@@ -99,7 +98,7 @@ def test_pullback_constraint_kills_difference():
 
 def test_pullback_identity():
     a = D("u").wedge(D("x")).scale(V("p"))
-    assert (pullback(a, identity_substitution(CH)) - a).is_zero()
+    assert (identity_substitution(CH).form(a) - a).is_zero()
 
 
 def test_pullback_chain_rule():
@@ -193,20 +192,28 @@ COFRAME = [("th", TH), ("dx", Form.differential(CH1, "x")),
            ("dp", Form.differential(CH1, "p"))]
 
 
+def two_form_coefficients(a, coframe):
+    exp = CoframeExpansion(a.chart, coframe)
+    return {(exp.labels[i], exp.labels[j]): c for (i, j), c in exp.expand_two_form(a).items()}
+
+
 def test_coefficients_examples():
-    got = coefficients(D("x").wedge(D("y")),
-                       [("dx", D("x")), ("dy", D("y")), ("dz", D("z")),
-                        ("du", D("u")), ("dp", D("p")), ("dq", D("q")), ("dr", D("r"))])
+    got = two_form_coefficients(
+        D("x").wedge(D("y")),
+        [("dx", D("x")), ("dy", D("y")), ("dz", D("z")),
+         ("du", D("u")), ("dp", D("p")), ("dq", D("q")), ("dr", D("r"))])
     assert got == {("dx", "dy"): ONE}
-    got = coefficients(Form.differential(CH1, "u"), COFRAME)
-    assert got[("th",)] == ONE and got[("dx",)] == Scalar.var("p")
-    got = coefficients(TH.d(), COFRAME)
+    # du = th + p dx
+    got = two_form_coefficients(
+        Form.differential(CH1, "u").wedge(Form.differential(CH1, "p")), COFRAME)
+    assert got == {("th", "dp"): ONE, ("dx", "dp"): Scalar.var("p")}
+    got = two_form_coefficients(TH.d(), COFRAME)
     assert got == {("dx", "dp"): ONE}
 
 
 def test_coefficients_reassembly():
     a = TH.d() + Form.differential(CH1, "p").wedge(Form.differential(CH1, "u")).scale(Scalar.var("u"))
-    exp = coefficients(a, COFRAME)
+    exp = two_form_coefficients(a, COFRAME)
     frame = dict(COFRAME)
     back = Form(CH1, 2, {})
     for (la, lb), c in exp.items():
@@ -217,7 +224,7 @@ def test_coefficients_reassembly():
 def test_coframe_degenerate():
     bad = [("a", D("x", CH1)), ("b", D("x", CH1)), ("c", D("p", CH1))]
     with pytest.raises(CoframeDegenerate):
-        coefficients(Form.differential(CH1, "u"), bad)
+        CoframeExpansion(CH1, bad)
 
 
 def test_vertical_degree_and_volume():

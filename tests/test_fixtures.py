@@ -1,11 +1,13 @@
 """Golden regressions for the bundled fixtures: step kinds, reported
-character trails, and metric independence of the rank computations."""
+character trails, and metric and seed independence of the rank
+computations."""
 
 from fractions import Fraction
 
 import pytest
 
 from cartaneds.cli import fixture_text
+from cartaneds.pfaffian import cartan_characters, prolongation_dim, structure_equations
 from cartaneds.problems import parse_problem
 from cartaneds.report import analyze
 
@@ -48,13 +50,37 @@ GOLDEN = {
 }
 
 
+@pytest.fixture(scope="module")
+def reports():
+    """Each fixture case analyzed once, shared by the tests of this module."""
+    cache = {}
+
+    def get(name, params):
+        if (name, params) not in cache:
+            doc = parse_problem(fixture_text(name),
+                                param_overrides={k: Fraction(v) for k, v in params})
+            cache[(name, params)] = analyze(doc)
+        return cache[(name, params)]
+    return get
+
+
 @pytest.mark.parametrize("name,params", sorted(GOLDEN), ids=lambda v: str(v))
-def test_golden_ladder_trails(name, params):
-    doc = parse_problem(fixture_text(name),
-                        param_overrides={k: Fraction(v) for k, v in params})
-    rep = analyze(doc)
+def test_golden_ladder_trails(reports, name, params):
+    rep = reports(name, params)
     assert rep.verdict == "involutive"
     assert trail(rep) == GOLDEN[(name, params)]
+
+
+@pytest.mark.parametrize("name,params", sorted(GOLDEN), ids=lambda v: str(v))
+def test_final_ranks_do_not_depend_on_seed(reports, name, params):
+    rep = reports(name, params)
+    se = structure_equations(rep.ladder.final_system)
+    seen = {(cartan_characters(se, seed, flag="coordinate").s,
+             cartan_characters(se, seed, flag="generic").s,
+             prolongation_dim(se, seed)) for seed in range(21)}
+    assert len(seen) == 1
+    (coordinate, _, _), = seen
+    assert coordinate == tuple(rep.steps[-1]["characters"])
 
 
 @pytest.mark.parametrize("metric", ["diag(-1,1,1,1)", "diag(1,1,1,1)", "diag(-1,1,1,-4)"])

@@ -6,7 +6,7 @@ from cartaneds.scalars import Chart, Dependent, Scalar, ONE
 from cartaneds.exterior import Form, identity_substitution
 from cartaneds.pfaffian import make_system
 from cartaneds.ladder import (classify_constraint, redundant_assumption,
-                              run, run_system, summarize)
+                              run, run_system)
 
 
 def V(n):
@@ -73,8 +73,8 @@ def test_idempotence_at_fixpoint():
 
 def test_terminal_system_is_clean():
     lad = run(mechanics_locus(1, 2), seed=3)
-    from cartaneds.pfaffian import essential_torsion, extract_zero_forms, structure_equations
-    assert extract_zero_forms(lad.final_system) == []
+    from cartaneds.pfaffian import essential_torsion, structure_equations
+    assert lad.final_system.zero_forms == []
     assert essential_torsion(structure_equations(lad.final_system)) == []
 
 
@@ -173,9 +173,9 @@ def test_trivial_closed_theta_single_involutive_step():
 
 
 def test_summarize_shape():
+    from cartaneds.report import _steps_payload
     lad = run(mechanics_locus(1, 1), seed=3)
-    s = summarize(lad)
-    assert s["verdict"] == "involutive"
+    assert lad.verdict == "involutive"
     assert all(set(step) == {"level", "kind", "base_constraints", "fiber_constraints",
                              "characters", "assumptions", "added_coordinates"}
-               for step in s["steps"])
+               for step in _steps_payload(lad))

@@ -4,11 +4,10 @@ import pytest
 
 from cartaneds.scalars import Chart, Dependent, Scalar, ONE, SeedStream, sample_point
 from cartaneds.exterior import Form
-from cartaneds.pfaffian import (EmptyLocus, adapt_coframe, cartan_characters,
-                                cartan_test, contact_system, essential_torsion,
-                                extract_zero_forms, make_system, prolong,
-                                prolongation_dim, prune_constraints, restrict,
-                                structure_equations)
+from cartaneds.pfaffian import (EmptyLocus, cartan_characters, cartan_test,
+                                contact_system, essential_torsion, make_system,
+                                prolong, prolongation_dim, prune_constraints,
+                                restrict, structure_equations)
 
 
 def V(n):
@@ -158,8 +157,8 @@ def test_characters_match_brute_force_on_mixed_system():
 def test_adapt_coframe_contact_systems():
     ch = contact_chart(["t"], {"q": ["v"]})
     sys = contact_system(ch, {"q": ["v"]})
-    assert adapt_coframe(sys).complement == ["v"]
-    assert adapt_coframe(SYS_J1R3).complement == ["p", "q", "r"]
+    assert sys.complement == ["v"]
+    assert SYS_J1R3.complement == ["p", "q", "r"]
 
 
 def test_structure_equations_contact_j1r2():
@@ -298,7 +297,7 @@ def test_restrict_substitution_consistency():
 
 
 def test_extract_zero_forms_contact_is_empty():
-    assert extract_zero_forms(SYS_J1R3) == []
+    assert SYS_J1R3.zero_forms == []
 
 
 def test_nonlinear_pfaffian_rejected():

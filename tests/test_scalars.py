@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cartaneds.scalars import (Chart, Dependent, DomainError,
-                               NonLinearInUnknowns, Scalar, ONE, ZERO,
+from cartaneds.scalars import (_PRIMES, AllSamplesDegenerate, Chart, Dependent,
+                               DomainError, NonLinearInUnknowns, Scalar, ONE,
+                               ZERO, SeedStream, generic_ranks, rank_fractions,
                                random_rank, solve_linear)
 
 
@@ -252,6 +253,21 @@ def test_random_rank_determinism():
 def test_random_rank_matches_exact_rank_on_rationals(rows):
     scalars = [[C(v) for v in r] for r in rows]
     assert random_rank(scalars, seed=11) == exact_rank(rows)
+
+
+def test_no_usable_prime_is_not_rank_zero():
+    # a rank-2 matrix whose entries have a denominator divisible by both primes
+    P1, P2 = _PRIMES
+    f = Fraction(1, P1 * P2)
+    bad = [[f, Fraction(0)], [Fraction(0), f]]
+    with pytest.raises(ZeroDivisionError):
+        rank_fractions(bad)
+    with pytest.raises(AllSamplesDegenerate):
+        random_rank([[C(f), ZERO], [ZERO, C(f)]], seed=0)
+    # the sampling kernel redraws such a point instead of counting it
+    good = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    draws = iter([bad, bad, good])
+    assert generic_ranks(lambda point: [next(draws)], [], SeedStream(0), 1) == (2,)
 
 
 def test_samples_validation():
