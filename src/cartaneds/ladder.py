@@ -189,14 +189,14 @@ def run_system(sys: PfaffianSystem, subst: Substitution, seed: int,
                    characters_generic=chars_gen, system=nxt, sub=sub)
             sys, subst = nxt, subst.compose(sub)
             continue
-        report = cartan_test(sys, seed)
+        report = cartan_test(se, seed)
         if report.involutive:
             record("involutive", characters=report.characters,
                    characters_generic=report.characters_generic)
             return ConstraintLadder(steps, sys, VERDICT_INVOLUTIVE, subst, hamilton)
         if prolongations >= max_prolongations:
             break
-        sys, added = prolong(sys)
+        sys, added = prolong(se)
         prolongations += 1
         record("prolongation", characters=report.characters,
                characters_generic=report.characters_generic, added=added, system=sys)

@@ -5,9 +5,10 @@ A system carries 1-form generators kept in reduced form: each generator has a
 designated fiber pivot coordinate with unit coefficient, distinct across
 generators.  The complement coframe is then simply the differentials of the
 remaining fiber coordinates, and (theta, omega, pi) is a coframe by block
-triangularity.  Structure equations are computed exactly; ranks (polar
-codimensions, integral-element dimensions) are evaluated at seed-derived
-generic points.
+triangularity.  Structure equations, the absorption system and the
+integral-element dimension are computed exactly, once per system; only the
+polar codimensions behind the Cartan characters are ranks evaluated at
+seed-derived generic points.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .scalars import (Chart, Dependent, ROLE_GRASSMANN, Scalar, SeedStream,
-                      ZERO, ONE, generic_ranks, solve_linear)
+from .scalars import (Chart, Dependent, LinearSolveResult, ROLE_GRASSMANN, Scalar,
+                      SeedStream, ZERO, ONE, generic_ranks, solve_linear)
 from .exterior import CoframeExpansion, Form, Substitution, identity_substitution
 
 
@@ -163,6 +164,8 @@ class StructureEquations:
     tableau: dict             # (a, e, i) -> Scalar, for  A^a_{ei} pi^e /\ om^i
     torsion_raw: dict         # (a, i, j) i<j -> Scalar
     complement: list          # coordinate names of the pi's (or synthetic labels)
+    absorption: LinearSolveResult  # the absorption system, solved for the slopes
+    slopes: dict              # (e, i) -> name of the omega^i-slope of pi^e
 
     @property
     def s0(self) -> int:
@@ -179,7 +182,8 @@ class StructureEquations:
 
 def structure_equations(sys: PfaffianSystem,
                         complement_forms: Optional[Sequence] = None) -> StructureEquations:
-    """Exact tableau and raw torsion of dtheta^a modulo the generators.
+    """Exact tableau and raw torsion of dtheta^a modulo the generators,
+    with the absorption system solved once for everything read off it.
 
     complement_forms optionally overrides the default coordinate-differential
     complement (same names, shifted by horizontal terms); used to check that
@@ -211,11 +215,14 @@ def structure_equations(sys: PfaffianSystem,
                 if not c.is_zero():
                     raise NotLinearPfaffian(
                         f"pi/\\pi term with coefficient {c} in d(theta_{a})")
+    eqs, unknowns, slopes = _absorption_system(sys, names, tableau, torsion)
     return StructureEquations(system=sys, tableau=tableau, torsion_raw=torsion,
-                              complement=list(names))
+                              complement=list(names),
+                              absorption=solve_linear(eqs, unknowns), slopes=slopes)
 
 
-def _absorption_system(se: StructureEquations):
+def _absorption_system(sys: PfaffianSystem, complement: Sequence[str],
+                       tableau: dict, torsion: dict):
     """The inhomogeneous linear system for integral elements over a point.
 
     Unknown p_{e,i} is the omega^i-slope of pi^e; its name doubles as the
@@ -224,12 +231,11 @@ def _absorption_system(se: StructureEquations):
     complement directions free (the parametrization whose coordinate names
     the worked character ladders are calibrated against).
     """
-    sys = se.system
     m = sys.m
     eqs = []
     unknowns = []
     uname = {}
-    for e, en in enumerate(se.complement):
+    for e, en in enumerate(complement):
         for i, xn in enumerate(sys.chart.independent):
             n = f"{en}_{xn}"
             if n in sys.chart:
@@ -237,15 +243,15 @@ def _absorption_system(se: StructureEquations):
             uname[(e, i)] = n
             unknowns.append(n)
     unknowns.reverse()
-    for a in range(se.s0):
+    for a in range(len(sys.generators)):
         for i in range(m):
             for j in range(i + 1, m):
-                eq = se.torsion_raw.get((a, i, j), ZERO)
-                for e in range(se.t):
-                    aej = se.tableau.get((a, e, j))
+                eq = torsion.get((a, i, j), ZERO)
+                for e in range(len(complement)):
+                    aej = tableau.get((a, e, j))
                     if aej is not None and not aej.is_zero():
                         eq = eq + aej * Scalar.var(uname[(e, i)])
-                    aei = se.tableau.get((a, e, i))
+                    aei = tableau.get((a, e, i))
                     if aei is not None and not aei.is_zero():
                         eq = eq - aei * Scalar.var(uname[(e, j)])
                 if not eq.is_zero():
@@ -259,9 +265,7 @@ def essential_torsion(se: StructureEquations) -> list:
     Empty exactly when the raw torsion is absorbable, i.e. an integral
     element exists over the generic point of the current locus.
     """
-    eqs, unknowns, _ = _absorption_system(se)
-    res = solve_linear(eqs, unknowns)
-    return prune_constraints([r.constraint_normal() for r in res.residual])
+    return prune_constraints([r.constraint_normal() for r in se.absorption.residual])
 
 
 @dataclass
@@ -320,36 +324,14 @@ def cartan_characters(se: StructureEquations, seed: int, samples: int = 3,
     return CharacterVector(s0=s0, s=tuple(s), polar_codims=codims)
 
 
-def prolongation_dim(se: StructureEquations, seed: int, samples: int = 3) -> int:
+def prolongation_dim(se: StructureEquations) -> int:
     """Fiber dimension of the space of integral elements over a generic point.
 
-    Nullity of the homogeneous absorption system in the p_{e,i} unknowns;
-    equals the cartan_sum exactly when the system is involutive.
+    The nullity of the absorption system in the p_{e,i} unknowns, read off
+    its exact solve; equals the cartan_sum exactly when the system is
+    involutive.
     """
-    sys = se.system
-    m, t, s0 = sys.m, se.t, se.s0
-    if t == 0 or m == 0:
-        return 0
-    names = set()
-    for c in se.tableau.values():
-        names |= c.variables()
-
-    def absorption_matrix(point):
-        An = {k: v.evaluate(point) for k, v in se.tableau.items()}
-        rows = []
-        for a in range(s0):
-            for i in range(m):
-                for j in range(i + 1, m):
-                    row = [0] * (t * m)
-                    for e in range(t):
-                        row[e * m + i] = An.get((a, e, j), 0)
-                        row[e * m + j] = -An.get((a, e, i), 0)
-                    if any(row):
-                        rows.append(row)
-        return [rows]
-
-    (best,) = generic_ranks(absorption_matrix, names, SeedStream(seed ^ 0xD1CE), samples)
-    return t * m - best
+    return len(se.absorption.free)
 
 
 @dataclass
@@ -362,28 +344,24 @@ class InvolutivityReport:
     torsion_essential: list
 
 
-def cartan_test(sys: PfaffianSystem, seed: int) -> InvolutivityReport:
+def cartan_test(se: StructureEquations, seed: int) -> InvolutivityReport:
     """Cartan's involutivity test at a generic point of the current locus.
 
-    The test itself compares the integral-element fiber dimension against the
-    weighted sum of generic-flag characters (a non-generic flag only inflates
-    the bound); the reported character list uses the coordinate flag.
+    The test compares the exact integral-element fiber dimension against the
+    weighted sum of generic-flag characters; the reported character list
+    uses the coordinate flag.  Only the characters are sampled, and a short
+    sampled polar rank or a non-generic flag only raises the sum, so a
+    violated Cartan inequality is an internal error, never retried.
     """
-    if sys.zero_forms:
+    if se.system.zero_forms:
         raise ValueError("cartan_test requires an empty zero-form list")
-    se = structure_equations(sys)
     torsion = essential_torsion(se)
     chars = cartan_characters(se, seed, flag="coordinate")
     gen = cartan_characters(se, seed, flag="generic")
-    pdim = prolongation_dim(se, seed)
+    pdim = prolongation_dim(se)
     csum = gen.cartan_sum()
     if pdim > csum:
-        # sampling under-estimated a rank; retry harder before giving up
-        gen = cartan_characters(se, seed + 1, samples=8, flag="generic")
-        pdim = prolongation_dim(se, seed + 1, samples=8)
-        csum = gen.cartan_sum()
-        if pdim > csum:
-            raise ArithmeticError("Cartan inequality violated: rank sampling failed")
+        raise ArithmeticError("Cartan inequality violated: rank sampling failed")
     involutive = (not torsion) and pdim == csum
     return InvolutivityReport(characters=chars, characters_generic=gen,
                               prolongation_dim=pdim, cartan_sum=csum,
@@ -394,18 +372,15 @@ def cartan_test(sys: PfaffianSystem, seed: int) -> InvolutivityReport:
 # prolongation and restriction
 # ---------------------------------------------------------------------------
 
-def prolong(sys: PfaffianSystem):
+def prolong(se: StructureEquations):
     """Pass to the space of integral elements with its contact system.
 
     Only the free parameters of the integral-element solution become new
     (level + 1) coordinates; solved slopes are substituted into the new
     contact forms.  Returns (system, added_coordinate_names).
     """
-    se = structure_equations(sys)
-    eqs, unknowns, uname = _absorption_system(se)
-    res = solve_linear(eqs, unknowns)
-    residual = _dedupe([r.constraint_normal() for r in res.residual])
-    if residual:
+    sys, res, uname = se.system, se.absorption, se.slopes
+    if res.residual:
         raise ValueError("cannot prolong: essential torsion present")
     chart = sys.chart
     new_deps = []

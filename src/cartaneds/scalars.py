@@ -350,8 +350,11 @@ def p_gcd(a: Poly, b: Poly) -> Poly:
     while pb:
         r = _u_pseudo_rem(pa, pb, x)
         if r:
+            # clear the polynomial and the rational content, or the
+            # coefficients of the remainder sequence grow without bound
             cr = _p_content_poly(r)
             r = {d: p_div_exact(c, cr) for d, c in r.items()}
+            r = _as_univariate(p_content_sign(_from_univariate(r, x))[1], x)
         pa, pb = pb, r
     g = p_mul(p_mul(_from_univariate(pa, x), cont_g), mono_g)
     _, prim = p_content_sign(g)

@@ -15,7 +15,7 @@ import pytest
 
 from cartaneds.cli import fixture_text
 from cartaneds.hamilton import DegreeMismatch, residual_check
-from cartaneds.pfaffian import cartan_test
+from cartaneds.pfaffian import cartan_test, structure_equations
 from cartaneds.problems import parse_problem
 from cartaneds.report import analyze, emit
 from cartaneds.scalars import Scalar
@@ -295,7 +295,7 @@ def test_criterion_11_property_suites():
     for name, params in fixtures:
         rep, _ = run_fixture(name, **params)
         assert residual_check(rep.hamilton_locus, rep.lepage), name
-        report = cartan_test(rep.ladder.final_system, seed=rep.seed)
+        report = cartan_test(structure_equations(rep.ladder.final_system), seed=rep.seed)
         assert report.involutive
         assert report.prolongation_dim == report.cartan_sum
     # seed determinism: every report byte-exact across repeated fresh runs

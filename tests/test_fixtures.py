@@ -77,7 +77,7 @@ def test_final_ranks_do_not_depend_on_seed(reports, name, params):
     se = structure_equations(rep.ladder.final_system)
     seen = {(cartan_characters(se, seed, flag="coordinate").s,
              cartan_characters(se, seed, flag="generic").s,
-             prolongation_dim(se, seed)) for seed in range(21)}
+             prolongation_dim(se)) for seed in range(21)}
     assert len(seen) == 1
     (coordinate, _, _), = seen
     assert coordinate == tuple(rep.steps[-1]["characters"])

@@ -179,3 +179,26 @@ def test_summarize_shape():
     assert all(set(step) == {"level", "kind", "base_constraints", "fiber_constraints",
                              "characters", "assumptions", "added_coordinates"}
                for step in _steps_payload(lad))
+
+
+@pytest.mark.parametrize("name", ["strong-integrability", "field-prolongation"])
+def test_structure_equations_built_once_per_system(monkeypatch, name):
+    # every step after the zero-form restrictions reads torsion, characters,
+    # the Cartan test and the prolongation off one build of the structure
+    # equations and one absorption solve
+    from cartaneds import ladder, pfaffian
+    from cartaneds.cli import fixture_text
+    from cartaneds.problems import parse_problem
+    from cartaneds.report import analyze
+    calls = []
+    original = pfaffian.structure_equations
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(pfaffian, "structure_equations", counted)
+    monkeypatch.setattr(ladder, "structure_equations", counted)
+    rep = analyze(parse_problem(fixture_text(name)))
+    assert rep.verdict == "involutive"
+    built = sum(s["kind"] != "zero_forms" for s in rep.steps)
+    assert len(calls) == built == 7

@@ -1,0 +1,120 @@
+"""Differential checks of the exact arithmetic against sympy.
+
+sympy is an optional test oracle: the module is skipped when it is not
+installed.  Each property compares one kernel of ``cartaneds.scalars`` with
+an independent implementation on small random inputs over Q[x, y].
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from cartaneds.scalars import Scalar, p_gcd, solve_linear  # noqa: E402
+
+X, Y = sympy.symbols("x y")
+
+
+def to_sympy(p):
+    """A cartaneds polynomial dict as a sympy expression in x, y."""
+    total = sympy.Integer(0)
+    for mono, c in p.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for name, e in mono:
+            term *= sympy.Symbol(name) ** e
+        total += term
+    return total
+
+
+@st.composite
+def poly(draw, max_terms, max_dx, max_dy):
+    """A Scalar polynomial with up to max_terms terms of bounded degrees."""
+    total = Scalar.const(0)
+    for _ in range(draw(st.integers(0, max_terms))):
+        c = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        total = total + (Scalar.const(c) * Scalar.var("x") ** draw(st.integers(0, max_dx))
+                         * Scalar.var("y") ** draw(st.integers(0, max_dy)))
+    return total
+
+
+entry = poly(2, 2, 1)
+
+
+@st.composite
+def affine_system(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coeffs = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    consts = [draw(entry) for _ in range(rows)]
+    return coeffs, consts
+
+
+def field_rank(rows):
+    m = sympy.Matrix([[to_sympy(c.num) for c in row] for row in rows])
+    return DomainMatrix.from_Matrix(m).to_field().rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(affine_system())
+def test_solve_linear_rank_matches_sympy(system):
+    coeffs, consts = system
+    unknowns = [f"u{j}" for j in range(len(coeffs[0]))]
+    eqs = []
+    for row, b in zip(coeffs, consts):
+        eq = b
+        for c, u in zip(row, unknowns):
+            eq = eq + c * Scalar.var(u)
+        eqs.append(eq)
+    res = solve_linear(eqs, unknowns)
+    rank = field_rank(coeffs)
+    # the solved count is the exact rank over Q(x, y), which is what
+    # prolongation_dim reads as a nullity
+    assert len(res.solved) == rank
+    assert len(res.free) == len(unknowns) - rank
+    augmented = [row + [b] for row, b in zip(coeffs, consts)]
+    assert (not res.residual) == (field_rank(augmented) == rank)
+
+
+linear = st.one_of(poly(2, 1, 0), poly(2, 0, 1))
+quadratic = poly(3, 1, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear, quadratic, quadratic)
+def test_p_gcd_matches_sympy(common, f, g):
+    # products of degree <= 3 with a shared factor, so the gcd is often
+    # nontrivial
+    a, b = (common * f).num, (common * g).num
+    ours = to_sympy(p_gcd(a, b))
+    theirs = sympy.gcd(to_sympy(a), to_sympy(b))
+    if theirs == 0:
+        assert ours == 0
+        return
+    ratio = sympy.cancel(ours / theirs)
+    assert ratio.is_Rational and ratio != 0
+
+
+def grlex_leading_coefficient(expr):
+    return sympy.Poly(expr, X, Y).coeffs(order="grlex")[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly(3, 2, 2), poly(3, 2, 2), poly(2, 1, 1))
+def test_scalar_quotient_is_sympy_cancel(f, g, common):
+    if g.is_zero() or common.is_zero():
+        return
+    q = (f * common) / (g * common)
+    num, den = to_sympy(q.num), to_sympy(q.den)
+    n, d = sympy.fraction(sympy.cancel(to_sympy((f * common).num)
+                                       / to_sympy((g * common).num)))
+    # the same reduced fraction up to a rational factor ...
+    k = sympy.cancel(den / d)
+    assert k.is_Rational and k != 0
+    assert sympy.expand(num - k * n) == 0
+    # ... normalized to a primitive integer denominator with positive
+    # leading coefficient
+    assert all(c.is_Integer for c in sympy.Poly(den, X, Y).coeffs())
+    assert sympy.Poly(den, X, Y).primitive()[0] == 1
+    assert grlex_leading_coefficient(den) > 0

@@ -43,7 +43,7 @@ def brute_force_characters(sys, seed=23, mix="coordinate"):
     mix="coordinate" walks the element's adapted frame in order;
     mix="generic" takes random combinations of the frame vectors.
     """
-    from cartaneds.scalars import rank_fractions, solve_linear
+    from cartaneds.scalars import rank_fractions
     chart = sys.chart
     names = list(chart.names)
     m = chart.m
@@ -52,9 +52,7 @@ def brute_force_characters(sys, seed=23, mix="coordinate"):
     # a generic integral element: solve the absorption system numerically
     se = structure_equations(sys)
     comp = sys.complement
-    from cartaneds.pfaffian import _absorption_system
-    eqs, unknowns, uname = _absorption_system(se)
-    res = solve_linear(eqs, unknowns)
+    res = se.absorption
     slope_point = dict(point)
     for n in res.free:
         slope_point[n] = stream.fraction()
@@ -202,33 +200,33 @@ def test_frobenius_zero_characters():
     se = structure_equations(sys)
     cv = cartan_characters(se, seed=1)
     assert cv.s == (0, 0)
-    assert prolongation_dim(se, seed=1) == 0
-    rep = cartan_test(sys, seed=1)
+    assert prolongation_dim(se) == 0
+    rep = cartan_test(se, seed=1)
     assert rep.involutive and rep.torsion_essential == []
-    out, added = prolong(sys)
+    out, added = prolong(se)
     assert added == []
 
 
 def test_contact_j1r3_test_and_prolongation():
     se = structure_equations(SYS_J1R3)
-    assert prolongation_dim(se, seed=7) == 6  # symmetric second derivatives
-    rep = cartan_test(SYS_J1R3, seed=7)
+    assert prolongation_dim(se) == 6  # symmetric second derivatives
+    rep = cartan_test(se, seed=7)
     assert rep.involutive
     assert rep.characters.s == (1, 1, 1)
     assert rep.cartan_sum == 6 == rep.prolongation_dim
 
 
 def test_prolong_contact_j1r2_adds_three():
-    out, added = prolong(SYS_J1R2)
+    out, added = prolong(structure_equations(SYS_J1R2))
     assert len(added) == 3
-    rep = cartan_test(out, seed=9)
+    rep = cartan_test(structure_equations(out), seed=9)
     assert rep.involutive
     assert sum(rep.characters.s) == 3
 
 
 def test_character_monotonicity_and_inequality():
     for sys in (SYS_J1R2, SYS_J1R3):
-        rep = cartan_test(sys, seed=13)
+        rep = cartan_test(structure_equations(sys), seed=13)
         s = rep.characters_generic.s
         assert all(s[i] >= s[i + 1] for i in range(len(s) - 1))
         assert all(v >= 0 for v in s)
@@ -240,7 +238,6 @@ def test_seed_determinism():
     a = cartan_characters(se, seed=99)
     b = cartan_characters(se, seed=99)
     assert a == b
-    assert prolongation_dim(se, seed=99) == prolongation_dim(se, seed=99)
 
 
 # ---------------------------------------------------------------------------
@@ -343,3 +340,27 @@ def test_reconstruction_of_structure_equations():
         for (ra, rb), c in flat.items():
             la, lb = exp.labels[ra], exp.labels[rb]
             assert la[0] == "th" or lb[0] == "th", (la, lb, str(c))
+
+
+def test_prolonged_system_out_of_reduced_form():
+    # prolong appends the new contact forms dp - p_x dx - p_y dy, ... without
+    # clearing the old generator at the new pivot p, so its output leaves
+    # reduced form; everything the ladder reads off it must agree with the
+    # re-reduced system
+    ch = Chart(["x", "y"], [Dependent("u"), Dependent("p"), Dependent("q")])
+    th = Form(ch, 1, {("u",): ONE, ("p",): ONE, ("x",): -V("p"), ("y",): -V("q")})
+    sys = make_system(ch, [th])
+    assert sys.pivots == ["u"]
+    out, _ = prolong(structure_equations(sys))
+    assert out.pivots[0] == "u" and "p" in out.pivots
+    assert out.generators[0].terms[("p",)] == ONE
+    reduced = make_system(out.chart, out.generators)
+    assert reduced.pivots == out.pivots
+    assert ("p",) not in reduced.generators[0].terms
+    got = []
+    for s in (out, reduced):
+        se = structure_equations(s)
+        got.append((essential_torsion(se), cartan_characters(se, seed=5).s,
+                    cartan_characters(se, seed=5, flag="generic").s,
+                    prolongation_dim(se)))
+    assert got[0] == got[1] == ([], (2, 1), (2, 1), 4)

@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,29 @@ def C(value):
 def test_gcd_cancellation():
     x, y = V("x"), V("y")
     assert (x ** 2 - y ** 2) / (x - y) == x + y
+
+
+def test_gcd_of_bivariate_pair_terminates():
+    # the pseudo-remainder sequence of this coprime pair used to grow its
+    # rational coefficients without bound and ran for minutes
+    x, y = V("x"), V("y")
+    num = x ** 4 - 3 * x ** 3 * y - Fraction(13, 2) * x * y ** 4 - x * y ** 3 \
+        + Fraction(7, 2) * y ** 3 - 3
+    den = Fraction(7, 3) * x ** 4 * y ** 3 - 5 * x ** 3 * y ** 4 \
+        - Fraction(7, 2) * x ** 4 * y ** 2 - 2 * x ** 3 * y ** 3 + Fraction(1, 3) * x ** 2 \
+        - Fraction(2, 3) * x * y ** 2 - Fraction(2, 3) * y ** 3
+
+    def timed_out(signum, frame):
+        raise TimeoutError("p_gcd did not finish within 20 s")
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(20)
+    try:
+        q = num / den
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert q * den == num
+    assert q.den == (den * 6).num  # coprime: only the rational content moves
 
 
 def test_commutativity_cancels():
