@@ -292,26 +292,35 @@ def cartan_characters(se: StructureEquations, seed: int, samples: int = 3,
     flag="generic" draws seed-derived directions and maximizes the rank
     vector, which is the flavor Cartan's test needs.  The two coincide
     whenever the coordinate flag is generic for the tableau.
+
+    Each sample draws the point, then the flag directions, and evaluates
+    only the nonzero tableau entries.  The polar rows of all m - 1 flag
+    directions are stacked once; the k-th polar space is the leading block
+    of its first k directions, exactly the rational matrix of that prefix,
+    so one rank_fractions call per sample yields every c_k.
     """
     sys = se.system
     m, t, s0 = sys.m, se.t, se.s0
+    entries = [(a, e, i, v) for (a, e, i), v in se.tableau.items() if not v.is_zero()]
     names = set()
-    for c in se.tableau.values():
-        names |= c.variables()
+    for *_, v in entries:
+        names |= v.variables()
     stream = SeedStream(seed ^ 0xC0FFEE)
+    cuts = [s0 * (k + 1) for k in range(m - 1)]
 
     def polar_matrices(point):
         if flag == "coordinate":
             dirs = [[1 if i == k else 0 for i in range(m)] for k in range(max(m - 1, 0))]
         else:
             dirs = [[stream.fraction() for _ in range(m)] for _ in range(max(m - 1, 0))]
-        An = {k: v.evaluate(point) for k, v in se.tableau.items()}
-        rows = []
-        for k in range(m - 1):
-            for a in range(s0):
-                rows.append([sum(An.get((a, e, i), 0) * dirs[k][i] for i in range(m))
-                             for e in range(t)])
-        return [rows[:s0 * (k + 1)] for k in range(m - 1)]
+        values = [(a, e, i, v.evaluate(point)) for a, e, i, v in entries]
+        rows = [{} for _ in range(s0 * (m - 1))]
+        for k, direction in enumerate(dirs):
+            for a, e, i, v in values:
+                if direction[i]:
+                    row = rows[s0 * k + a]
+                    row[e] = row.get(e, 0) + v * direction[i]
+        return rows, cuts
 
     best = generic_ranks(polar_matrices, names, stream, samples)
     codims = (s0,) + tuple(s0 + r for r in best)
@@ -399,17 +408,26 @@ def prolong(se: StructureEquations):
             return res.solved[n]
         return Scalar.var(n)
 
-    gens = [Form(new_chart, 1, dict(g.terms)) for g in sys.generators]
-    pivots = list(sys.pivots)
+    contact = []
     for e, en in enumerate(se.complement):
         terms = {(en,): ONE}
         for i, xn in enumerate(chart.independent):
             v = slope(e, i)
             if not v.is_zero():
                 terms[(xn,)] = terms.get((xn,), ZERO) - v
-        gens.append(Form(new_chart, 1, terms))
-        pivots.append(en)
-    out = PfaffianSystem(chart=new_chart, generators=gens, pivots=pivots,
+        contact.append(Form(new_chart, 1, terms))
+    # the new pivots are the complement directions: clear the old generators
+    # there, so that the output stays in reduced form
+    gens = []
+    for g in sys.generators:
+        g = Form(new_chart, 1, g.terms)
+        for en, th in zip(se.complement, contact):
+            c = g.terms.get((en,))
+            if c is not None:
+                g = g - th.scale(c)
+        gens.append(g)
+    out = PfaffianSystem(chart=new_chart, generators=gens + contact,
+                         pivots=sys.pivots + se.complement,
                          zero_forms=[], assumptions=_dedupe(sys.assumptions + res.assumptions))
     return out, [d.name for d in new_deps]
 

@@ -852,63 +852,77 @@ def sample_point(names: Iterable[str], stream: SeedStream) -> dict:
     return {n: stream.fraction() for n in sorted(names)}
 
 
-def rank_fractions(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of an exact rational matrix via elimination modulo two large primes.
+def rank_fractions(rows: Sequence[Mapping[int, Fraction]], cuts: Sequence[int]) -> tuple:
+    """Ranks of the leading blocks rows[:k], for k in cuts, of a sparse rational matrix.
 
-    Raises ZeroDivisionError when each prime divides some denominator, so
-    that no matrix reads as rank 0 for want of a usable prime.
+    A row maps a column to its entry; only the entries present are read, so
+    callers pass the nonzero ones.  One echelon pass modulo each of two large
+    primes yields the rank of every block, and each block takes the larger of
+    its two modular ranks (a modular rank never exceeds the rational one).
+    A prime that divides the denominator of an entry still serves the blocks
+    that end before that entry's row.  A block that no prime serves raises
+    ZeroDivisionError, so that no matrix reads as rank 0 for want of a usable
+    prime.  cuts must be nondecreasing.
     """
-    ranks = []
+    best = [-1] * len(cuts)
     for p in _PRIMES:
-        try:
-            ranks.append(_rank_mod(rows, p))
-        except ZeroDivisionError:
-            continue
-    if not ranks:
+        for j, r in enumerate(_rank_mod(rows, cuts, p)):
+            best[j] = max(best[j], r)
+    if -1 in best:
         raise ZeroDivisionError("every prime divides a denominator of the matrix")
-    return max(ranks)
+    return tuple(best)
 
 
-def _rank_mod(rows, p: int) -> int:
-    mat = []
-    for row in rows:
-        mr = []
-        for c in row:
-            den = c.denominator % p
-            if den == 0:
-                raise ZeroDivisionError
-            mr.append((c.numerator % p) * pow(den, p - 2, p) % p)
-        mat.append(mr)
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        prow = [v * inv % p for v in mat[rank]]
-        mat[rank] = prow
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(v - f * pv) % p for v, pv in zip(mat[r], prow)]
-        rank += 1
-        col += 1
-    return rank
+def _rank_mod(rows, cuts, p: int) -> list:
+    """Ranks modulo p of the leading blocks rows[:k], for the k in cuts that
+    end before the first row with an entry whose denominator p divides."""
+    echelon: dict = {}  # least column of a reduced row -> the row, scaled to 1 there
+    ranks = []
+    done = 0
+    for k in cuts:
+        for row in rows[done:k]:
+            red = {}
+            for c, v in row.items():
+                d = v.denominator
+                if d == 1:
+                    x = v.numerator % p
+                elif d % p:
+                    x = v.numerator * pow(d, -1, p) % p
+                else:
+                    return ranks
+                if x:
+                    red[c] = x
+            while red:
+                c = min(red)
+                piv = echelon.get(c)
+                if piv is None:
+                    inv = pow(red[c], -1, p)
+                    echelon[c] = {j: x * inv % p for j, x in red.items()}
+                    break
+                f = red[c]
+                for j, x in piv.items():
+                    y = (red.get(j, 0) - f * x) % p
+                    if y:
+                        red[j] = y
+                    else:
+                        del red[j]
+        done = k
+        ranks.append(len(echelon))
+    return ranks
 
 
-def generic_ranks(matrices: Callable[[dict], Sequence], names: Iterable[str],
+def generic_ranks(matrices: Callable[[dict], tuple], names: Iterable[str],
                   stream: SeedStream, samples: int) -> tuple:
-    """Generic ranks of point-dependent rational matrices, by seeded sampling.
+    """Generic ranks of the leading blocks of a point-dependent rational matrix,
+    by seeded sampling.
 
-    matrices(point) returns the Fraction matrices to rank at a point drawn
-    over names; it may draw further values from stream (flag directions).
-    A point where it or rank_fractions raises ZeroDivisionError (a vanishing
-    denominator) is redrawn, up to 8 times per sample.  The result is the
-    largest tuple of ranks over the samples.
+    matrices(point) returns (rows, cuts) at a point drawn over names: the
+    sparse Fraction rows and the row counts of the leading blocks to rank,
+    which rank_fractions ranks in one pass per prime.  It may draw further
+    values from stream (flag directions).  A point where it or rank_fractions
+    raises ZeroDivisionError (a vanishing denominator) is redrawn, up to 8
+    times per sample.  The result is the largest tuple of ranks over the
+    samples.
 
     The error is one-sided: a sampled rank never exceeds the generic rank r.
     A minor that vanishes identically vanishes at every point and modulo
@@ -925,7 +939,7 @@ def generic_ranks(matrices: Callable[[dict], Sequence], names: Iterable[str],
         for _retry in range(8):
             point = sample_point(names, stream)
             try:
-                got = tuple(rank_fractions(m) if m and m[0] else 0 for m in matrices(point))
+                got = rank_fractions(*matrices(point))
             except ZeroDivisionError:
                 continue
             if best is None or got > best:
@@ -937,15 +951,19 @@ def generic_ranks(matrices: Callable[[dict], Sequence], names: Iterable[str],
 
 
 def random_rank(matrix: Sequence[Sequence[Scalar]], seed: int, samples: int = 3) -> int:
-    """Generic rank of a matrix of scalars: max exact rank over seeded samples."""
-    rows = [list(r) for r in matrix]
+    """Generic rank of a matrix of scalars: max exact rank over seeded samples.
+
+    Only the nonzero entries are evaluated; a zero has denominator 1 and
+    could never make a sample point fail.
+    """
+    rows = [{j: c for j, c in enumerate(row) if not c.is_zero()} for row in matrix]
     names = set()
     for row in rows:
-        for c in row:
+        for c in row.values():
             names |= c.variables()
 
     def evaluated(point):
-        return [[[c.evaluate(point) for c in row] for row in rows]]
+        return [{j: c.evaluate(point) for j, c in row.items()} for row in rows], (len(rows),)
 
     (rank,) = generic_ranks(evaluated, names, SeedStream(seed), samples)
     return rank

@@ -85,7 +85,7 @@ def brute_force_characters(sys, seed=23, mix="coordinate"):
     def polar_rank(k):
         rows = []
         for row in gen_rows:
-            rows.append([row.get(n, Fraction(0)) for n in names])
+            rows.append({c: row[n] for c, n in enumerate(names) if n in row})
         for j in range(k):
             v = frame[j]
             for dth in dthetas:
@@ -95,8 +95,8 @@ def brute_force_characters(sys, seed=23, mix="coordinate"):
                     # dth(Y, v) with Y symbolic: c*(dna(Y) dnb(v) - dna(v) dnb(Y))
                     cond[na] += cv * v.get(nb, Fraction(0))
                     cond[nb] -= cv * v.get(na, Fraction(0))
-                rows.append([cond[n] for n in names])
-        return rank_fractions(rows)
+                rows.append({c: cond[n] for c, n in enumerate(names)})
+        return rank_fractions(rows, [len(rows)])[0]
     codims = [polar_rank(k) for k in range(m)]
     s = [codims[0]]
     for k in range(1, m):
@@ -342,25 +342,23 @@ def test_reconstruction_of_structure_equations():
             assert la[0] == "th" or lb[0] == "th", (la, lb, str(c))
 
 
-def test_prolonged_system_out_of_reduced_form():
-    # prolong appends the new contact forms dp - p_x dx - p_y dy, ... without
-    # clearing the old generator at the new pivot p, so its output leaves
-    # reduced form; everything the ladder reads off it must agree with the
-    # re-reduced system
+def test_prolonged_system_is_reduced():
+    # the old generator du + dp - p dx - q dy has coefficient 1 at the new
+    # pivot p; prolong clears it with dp - p_x dx - p_y dy, so every
+    # generator has a unit at its own pivot and none at the others
     ch = Chart(["x", "y"], [Dependent("u"), Dependent("p"), Dependent("q")])
     th = Form(ch, 1, {("u",): ONE, ("p",): ONE, ("x",): -V("p"), ("y",): -V("q")})
     sys = make_system(ch, [th])
     assert sys.pivots == ["u"]
     out, _ = prolong(structure_equations(sys))
     assert out.pivots[0] == "u" and "p" in out.pivots
-    assert out.generators[0].terms[("p",)] == ONE
+    for g, own in zip(out.generators, out.pivots):
+        assert g.terms[(own,)] == ONE
+        assert all((other,) not in g.terms for other in out.pivots if other != own)
     reduced = make_system(out.chart, out.generators)
     assert reduced.pivots == out.pivots
-    assert ("p",) not in reduced.generators[0].terms
-    got = []
-    for s in (out, reduced):
-        se = structure_equations(s)
-        got.append((essential_torsion(se), cartan_characters(se, seed=5).s,
-                    cartan_characters(se, seed=5, flag="generic").s,
-                    prolongation_dim(se)))
-    assert got[0] == got[1] == ([], (2, 1), (2, 1), 4)
+    assert reduced.generators == out.generators
+    se = structure_equations(out)
+    assert (essential_torsion(se), cartan_characters(se, seed=5).s,
+            cartan_characters(se, seed=5, flag="generic").s,
+            prolongation_dim(se)) == ([], (2, 1), (2, 1), 4)

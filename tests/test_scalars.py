@@ -283,15 +283,88 @@ def test_no_usable_prime_is_not_rank_zero():
     # a rank-2 matrix whose entries have a denominator divisible by both primes
     P1, P2 = _PRIMES
     f = Fraction(1, P1 * P2)
-    bad = [[f, Fraction(0)], [Fraction(0), f]]
+    bad = [{0: f}, {1: f}]
     with pytest.raises(ZeroDivisionError):
-        rank_fractions(bad)
+        rank_fractions(bad, [2])
     with pytest.raises(AllSamplesDegenerate):
         random_rank([[C(f), ZERO], [ZERO, C(f)]], seed=0)
     # the sampling kernel redraws such a point instead of counting it
-    good = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    good = [{0: Fraction(1)}, {1: Fraction(1)}]
     draws = iter([bad, bad, good])
-    assert generic_ranks(lambda point: [next(draws)], [], SeedStream(0), 1) == (2,)
+    assert generic_ranks(lambda point: (next(draws), [2]), [], SeedStream(0), 1) == (2,)
+
+
+@st.composite
+def sparse_blocks(draw):
+    """A sparse rational matrix as {column: entry} rows, and nondecreasing
+    block cuts into its rows."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols),
+                         max_size=8))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    return rows, cuts
+
+
+def _dense(rows):
+    ncols = 1 + max((c for row in rows for c in row), default=0)
+    return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_blocks())
+def test_prefix_ranks_match_exact_rank(case):
+    rows, cuts = case
+    assert rank_fractions(rows, cuts) == tuple(exact_rank(_dense(rows[:k])) for k in cuts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_blocks(), st.data())
+def test_prefix_ranks_survive_a_row_one_prime_divides(case, data):
+    # P1 divides a denominator of one inserted row: P2 still ranks every
+    # block, the blocks ending before that row included
+    rows, cuts = case
+    P1, _ = _PRIMES
+    at = data.draw(st.integers(0, len(rows)))
+    rows = rows[:at] + [{0: Fraction(1, P1)}] + rows[at:]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), min_size=1, max_size=4)))
+    assert rank_fractions(rows, cuts) == tuple(exact_rank(_dense(rows[:k])) for k in cuts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_blocks(), st.data())
+def test_no_prime_for_a_later_block_raises(case, data):
+    # a row whose denominator both primes divide leaves every block that
+    # contains it without a usable prime; the blocks before it keep theirs
+    rows, cuts = case
+    P1, P2 = _PRIMES
+    at = data.draw(st.integers(0, len(rows)))
+    rows = rows[:at] + [{0: Fraction(1, P1 * P2)}] + rows[at:]
+    before = [k for k in cuts if k <= at]
+    assert rank_fractions(rows, before) == tuple(exact_rank(_dense(rows[:k])) for k in before)
+    with pytest.raises(ZeroDivisionError):
+        rank_fractions(rows, sorted(cuts + [data.draw(st.integers(at + 1, len(rows)))]))
+
+
+def test_random_rank_evaluates_only_nonzero_entries(monkeypatch):
+    # 100 x 100 with 292 nonzero entries: a unit diagonal plus two
+    # polynomial off-diagonals, of full rank
+    x, y = V("x"), V("y")
+    n = 100
+    matrix = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        matrix[i][i] = ONE
+        if i + 1 < n:
+            matrix[i][i + 1] = x * y + i
+        if i + 7 < n:
+            matrix[i][i + 7] = x - i
+    nnz = sum(not c.is_zero() for row in matrix for c in row)
+    calls = []
+    evaluate = Scalar.evaluate
+    monkeypatch.setattr(Scalar, "evaluate",
+                        lambda self, point: calls.append(1) or evaluate(self, point))
+    assert random_rank(matrix, seed=4, samples=3) == n
+    assert len(calls) <= 3 * nnz
 
 
 def test_samples_validation():
