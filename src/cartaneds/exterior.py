@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .scalars import Chart, Scalar, ZERO, ONE, p_const, random_rank
+from .scalars import Chart, Scalar, ZERO, ONE, p_is_one, random_rank
 
 
 class CoframeDegenerate(ValueError):
@@ -183,7 +183,7 @@ class Form:
                 elif cs == "-1":
                     parts.append(f"-{wedge}")
                 else:
-                    if coef.den != p_const(1) or len(coef.num) > 1:
+                    if not p_is_one(coef.den) or len(coef.num) > 1:
                         cs = f"({cs})"
                     parts.append(f"{cs}*{wedge}")
             else:

@@ -90,6 +90,15 @@ def p_is_zero(p: Poly) -> bool:
     return not p
 
 
+def p_is_one(p: Poly) -> bool:
+    return len(p) == 1 and p.get(_ONE_MONO) == 1
+
+
+def p_is_const(p: Poly) -> bool:
+    """True for a nonzero constant polynomial."""
+    return len(p) == 1 and _ONE_MONO in p
+
+
 def p_add(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for m, c in b.items():
@@ -361,6 +370,14 @@ def p_gcd(a: Poly, b: Poly) -> Poly:
     return prim
 
 
+def _cancel(a: Poly, b: Poly):
+    """a and b divided by their primitive positive-leading gcd."""
+    g = p_gcd(a, b)
+    if p_is_one(g):
+        return a, b
+    return p_div_exact(a, g), p_div_exact(b, g)
+
+
 def p_str(a: Poly) -> str:
     if not a:
         return "0"
@@ -394,6 +411,17 @@ class Scalar:
     Canonical form: gcd(num, den) = 1, the denominator is a primitive integer
     polynomial with positive leading coefficient, and zero is 0/1.  Equality
     of canonical forms is literal dict equality.
+
+    Arithmetic keeps this form without a gcd of the full products, as
+    fractions.Fraction does over the integers (Knuth, TAOCP vol. 2, 4.5.1).
+    By Gauss's lemma a product of primitive positive-leading polynomials is
+    primitive positive-leading, and so is the quotient of one by a primitive
+    positive-leading factor of it, so cross-cancelled products need no
+    content clearing.  A product a/b * c/d divides out gcd(a, d) and
+    gcd(c, b) only; a quotient divides out gcd(a, c) and gcd(d, b).  A sum
+    with a denominator 1 is already canonical; for other denominators
+    (Henrici's rule) only g = gcd(b, d) can share a factor with
+    a*(d/g) + c*(b/g), so the sum needs no gcd at all when g = 1.
     """
 
     __slots__ = ("num", "den")
@@ -418,11 +446,8 @@ class Scalar:
         if p_is_zero(num):
             self.num, self.den = {}, p_const(1)
             return
-        if den != p_const(1):
-            g = p_gcd(num, den)
-            if p_degree(g) > 0 or g != p_const(1):
-                num = p_div_exact(num, g)
-                den = p_div_exact(den, g)
+        if not p_is_one(den):
+            num, den = _cancel(num, den)
             content, prim = p_content_sign(den)
             den = prim
             num = {m: c / content for m, c in num.items()}
@@ -447,7 +472,7 @@ class Scalar:
         """The value as a rational constant, or None when variables occur."""
         if not self.num:
             return Fraction(0)
-        if self.den == p_const(1) and len(self.num) == 1 and _ONE_MONO in self.num:
+        if p_is_one(self.den) and p_is_const(self.num):
             return self.num[_ONE_MONO]
         return None
 
@@ -467,10 +492,29 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if self.den == o.den:
-            return Scalar(p_add(self.num, o.num), self.den)
-        return Scalar(p_add(p_mul(self.num, o.den), p_mul(o.num, self.den)),
-                      p_mul(self.den, o.den))
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if b == d:
+            num = p_add(a, c)
+            if not num:
+                return Scalar.const(0)
+            if not p_is_one(b):
+                num, b = _cancel(num, b)
+            return Scalar(num, b, _canonical=True)
+        if p_is_one(b):
+            return Scalar(p_add(p_mul(a, d), c), d, _canonical=True)
+        if p_is_one(d):
+            return Scalar(p_add(a, p_mul(c, b)), b, _canonical=True)
+        g = p_gcd(b, d)
+        if p_is_one(g):
+            return Scalar(p_add(p_mul(a, d), p_mul(c, b)), p_mul(b, d), _canonical=True)
+        b, d = p_div_exact(b, g), p_div_exact(d, g)
+        num = p_add(p_mul(a, d), p_mul(c, b))
+        num, g = _cancel(num, g)
+        return Scalar(num, p_mul(p_mul(b, d), g), _canonical=True)
 
     __radd__ = __add__
 
@@ -492,7 +536,13 @@ class Scalar:
             return o
         if not self.num or not o.num:
             return Scalar.const(0)
-        return Scalar(p_mul(self.num, o.num), p_mul(self.den, o.den))
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if not (p_is_one(d) or p_is_const(a)):
+            a, d = _cancel(a, d)
+        if not (p_is_one(b) or p_is_const(c)):
+            c, b = _cancel(c, b)
+        den = d if p_is_one(b) else b if p_is_one(d) else p_mul(b, d)
+        return Scalar(p_mul(a, c), den, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -502,7 +552,18 @@ class Scalar:
             return o
         if o.is_zero():
             raise DomainError("division by the zero polynomial")
-        return Scalar(p_mul(self.num, o.den), p_mul(self.den, o.num))
+        if not self.num:
+            return Scalar.const(0)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if not p_is_one(c):
+            a, c = _cancel(a, c)
+        if not (p_is_one(b) or p_is_one(d)):
+            d, b = _cancel(d, b)
+        num = p_mul(a, d)
+        if not p_is_one(c):
+            content, c = p_content_sign(c)
+            num = {m: v / content for m, v in num.items()}
+        return Scalar(num, p_mul(b, c), _canonical=True)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -514,10 +575,8 @@ class Scalar:
         if n == 0:
             return Scalar.const(1)
         if n < 0:
-            if self.is_zero():
-                raise DomainError("division by the zero polynomial")
-            return Scalar(p_pow(self.den, -n), p_pow(self.num, -n))
-        return Scalar(p_pow(self.num, n), p_pow(self.den, n))
+            return Scalar.const(1) / self ** -n
+        return Scalar(p_pow(self.num, n), p_pow(self.den, n), _canonical=True)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -532,7 +591,7 @@ class Scalar:
 
     def partial(self, name: str) -> "Scalar":
         dn = p_diff(self.num, name)
-        if self.den == p_const(1):
+        if p_is_one(self.den):
             return Scalar(dn, None)
         dd = p_diff(self.den, name)
         return Scalar(p_sub(p_mul(dn, self.den), p_mul(self.num, dd)),
@@ -571,7 +630,7 @@ class Scalar:
         return Scalar(prim, None, _canonical=True)
 
     def __str__(self):
-        if self.den == p_const(1):
+        if p_is_one(self.den):
             return p_str(self.num)
         ns = p_str(self.num)
         ds = p_str(self.den)
@@ -859,6 +918,8 @@ def rank_fractions(rows: Sequence[Mapping[int, Fraction]], cuts: Sequence[int]) 
     callers pass the nonzero ones.  One echelon pass modulo each of two large
     primes yields the rank of every block, and each block takes the larger of
     its two modular ranks (a modular rank never exceeds the rational one).
+    When the first prime already gives every block its row count, the most
+    any prime can give, the second is not run.
     A prime that divides the denominator of an entry still serves the blocks
     that end before that entry's row.  A block that no prime serves raises
     ZeroDivisionError, so that no matrix reads as rank 0 for want of a usable
@@ -868,6 +929,8 @@ def rank_fractions(rows: Sequence[Mapping[int, Fraction]], cuts: Sequence[int]) 
     for p in _PRIMES:
         for j, r in enumerate(_rank_mod(rows, cuts, p)):
             best[j] = max(best[j], r)
+        if best == list(cuts):
+            break
     if -1 in best:
         raise ZeroDivisionError("every prime divides a denominator of the matrix")
     return tuple(best)

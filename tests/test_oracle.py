@@ -100,15 +100,11 @@ def grlex_leading_coefficient(expr):
     return sympy.Poly(expr, X, Y).coeffs(order="grlex")[0]
 
 
-@settings(max_examples=150, deadline=None)
-@given(poly(3, 2, 2), poly(3, 2, 2), poly(2, 1, 1))
-def test_scalar_quotient_is_sympy_cancel(f, g, common):
-    if g.is_zero() or common.is_zero():
-        return
-    q = (f * common) / (g * common)
+def assert_is_cancel(q, expr):
+    """q equals sympy.cancel(expr), normalized to a primitive integer
+    denominator with positive grlex leading coefficient."""
     num, den = to_sympy(q.num), to_sympy(q.den)
-    n, d = sympy.fraction(sympy.cancel(to_sympy((f * common).num)
-                                       / to_sympy((g * common).num)))
+    n, d = sympy.fraction(sympy.cancel(expr))
     # the same reduced fraction up to a rational factor ...
     k = sympy.cancel(den / d)
     assert k.is_Rational and k != 0
@@ -118,3 +114,31 @@ def test_scalar_quotient_is_sympy_cancel(f, g, common):
     assert all(c.is_Integer for c in sympy.Poly(den, X, Y).coeffs())
     assert sympy.Poly(den, X, Y).primitive()[0] == 1
     assert grlex_leading_coefficient(den) > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly(3, 2, 2), poly(3, 2, 2), poly(2, 1, 1))
+def test_scalar_quotient_is_sympy_cancel(f, g, common):
+    if g.is_zero() or common.is_zero():
+        return
+    q = (f * common) / (g * common)
+    assert_is_cancel(q, to_sympy((f * common).num) / to_sympy((g * common).num))
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly(2, 1, 1), poly(2, 1, 1), poly(2, 1, 1), poly(2, 1, 1), poly(2, 1, 1))
+def test_scalar_sum_and_product_are_sympy_cancel(f, g, h, k, common):
+    # rational operands whose denominators share `common` (Henrici's sum) and
+    # whose numerator and denominator share it across the product
+    if g.is_zero() or k.is_zero() or common.is_zero():
+        return
+    a = f / (g * common)
+    b = h / (k * common)
+    c = (h * common) / k
+    fa = to_sympy(f.num) / (to_sympy(g.num) * to_sympy(common.num))
+    fb = to_sympy(h.num) / (to_sympy(k.num) * to_sympy(common.num))
+    fc = to_sympy(h.num) * to_sympy(common.num) / to_sympy(k.num)
+    assert_is_cancel(a + b, fa + fb)
+    assert_is_cancel(a - b, fa - fb)
+    assert_is_cancel(a * b, fa * fb)
+    assert_is_cancel(a * c, fa * fc)

@@ -1,12 +1,15 @@
 import signal
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from cartaneds import scalars
 from cartaneds.scalars import (_PRIMES, AllSamplesDegenerate, Chart, Dependent,
                                DomainError, NonLinearInUnknowns, Scalar, ONE,
-                               ZERO, SeedStream, generic_ranks, rank_fractions,
+                               ZERO, SeedStream, generic_ranks, p_add, p_gcd,
+                               p_leading, p_mul, p_sub, rank_fractions,
                                random_rank, solve_linear)
 
 
@@ -195,6 +198,88 @@ def test_canonical_form_idempotent(a, b):
     assert again.num == s.num and again.den == s.den
 
 
+def assert_canonical(s):
+    """gcd(num, den) = 1 and den is an integer polynomial with content 1 and
+    a positive grlex leading coefficient; zero is 0/1."""
+    if not s.num:
+        assert s.den == {(): 1}
+        return
+    assert p_gcd(s.num, s.den) == {(): 1}
+    assert all(c.denominator == 1 for c in s.den.values())
+    assert gcd(*(c.numerator for c in s.den.values())) == 1
+    assert p_leading(s.den)[1] > 0
+
+
+@st.composite
+def rational_pair(draw):
+    """Two rational functions over Q[x, y] with nonconstant denominators,
+    built by the general constructor; a drawn factor is often shared between
+    denominators and across numerators and denominators."""
+    xy = ("x", "y")
+    coeff = st.integers(-3, 3)
+
+    def poly():
+        # up to two terms of degree at most 1 in each of x and y
+        total = C(0)
+        for _ in range(draw(st.integers(1, 2))):
+            total = total + draw(coeff) * V("x") ** draw(st.integers(0, 1)) \
+                * V("y") ** draw(st.integers(0, 1))
+        return total.num or {(): Fraction(1)}
+
+    common = poly()
+
+    def part(denominator):
+        p = poly()
+        if denominator:
+            # a factor c0 + c1*v + c2*w with c1 != 0 keeps it nonconstant
+            v, w = draw(st.permutations(xy))
+            linear = C(draw(coeff)) + draw(coeff.filter(bool)) * V(v) + draw(coeff) * V(w)
+            p = p_mul(p, linear.num)
+        return p_mul(p, common) if draw(st.booleans()) else p
+
+    a, b = Scalar(part(False), part(True)), Scalar(part(False), part(True))
+    assume(a.den != {(): 1} and b.den != {(): 1})
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_pair())
+def test_arithmetic_equals_canonicalization_from_scratch(pair):
+    a, b = pair
+    # the second pair mostly has equal denominators; in the third, the sum
+    # b - a + a must cancel against the shared factor of the denominators
+    for f, g in (pair, (a, Scalar(b.num, a.den)), (b - a, a)):
+        cross = p_mul(f.den, g.den)
+        expected = [(f + g, Scalar(p_add(p_mul(f.num, g.den), p_mul(g.num, f.den)), cross)),
+                    (f - g, Scalar(p_sub(p_mul(f.num, g.den), p_mul(g.num, f.den)), cross)),
+                    (f * g, Scalar(p_mul(f.num, g.num), cross)),
+                    (f / g, Scalar(p_mul(f.num, g.den), p_mul(f.den, g.num)))]
+        for got, want in expected:
+            assert got.num == want.num and got.den == want.den
+            assert_canonical(got)
+
+
+def test_trivial_operands_skip_the_gcd(monkeypatch):
+    x, y = V("x"), V("y")
+    s = (x ** 2 + y) / (3 * x * y + 1)
+    scaled = Scalar({m: c * Fraction(2, 3) for m, c in s.num.items()}, s.den)
+    a, b = (x + 2) / (x + 1), (y - 3) / (y + 1)
+    calls = []
+    for name in ("p_gcd", "p_div_exact"):
+        kernel = getattr(scalars, name)
+        monkeypatch.setattr(scalars, name, lambda *args, name=name, kernel=kernel:
+                            calls.append((name,) + args) or kernel(*args))
+    assert s + 0 == s and 0 + s == s and s - 0 == s
+    assert s * 1 == s and 1 * s == s
+    assert s * Fraction(2, 3) == scaled and C(Fraction(2, 3)) * s == scaled
+    assert calls == []
+    total = a + b
+    # Henrici: coprime denominators leave nothing to cancel in the sum
+    assert calls == [("p_gcd", a.den, b.den)]
+    monkeypatch.undo()
+    assert total == Scalar(p_add(p_mul(a.num, b.den), p_mul(b.num, a.den)), p_mul(a.den, b.den))
+
+
 def _span_contains(base, extra):
     """Rational-span membership via monomial coefficient vectors."""
     monos = sorted({m for s in base + [extra] for m in s.num})
@@ -344,6 +429,20 @@ def test_no_prime_for_a_later_block_raises(case, data):
     assert rank_fractions(rows, before) == tuple(exact_rank(_dense(rows[:k])) for k in before)
     with pytest.raises(ZeroDivisionError):
         rank_fractions(rows, sorted(cuts + [data.draw(st.integers(at + 1, len(rows)))]))
+
+
+def test_second_prime_only_when_a_block_falls_short(monkeypatch):
+    passes = []
+    rank_mod = scalars._rank_mod
+    monkeypatch.setattr(scalars, "_rank_mod",
+                        lambda rows, cuts, p: passes.append(p) or rank_mod(rows, cuts, p))
+    identity = [{i: Fraction(1)} for i in range(100)]
+    assert rank_fractions(identity, [50, 100]) == (50, 100)
+    assert len(passes) == 1
+    passes.clear()
+    deficient = identity[:99] + [{0: Fraction(3)}]
+    assert rank_fractions(deficient, [50, 100]) == (50, 99)
+    assert len(passes) == 2
 
 
 def test_random_rank_evaluates_only_nonzero_entries(monkeypatch):
