@@ -282,11 +282,17 @@ def identity_substitution(chart: Chart) -> Substitution:
 class CoframeExpansion:
     """Expansion of coordinate differentials in a full coframe.
 
-    Solves the linear system once; afterwards any form can be rewritten in
-    the coframe's wedge basis exactly.
+    The coframe must be triangular: in some order, each form adds exactly
+    one coordinate differential to those of the forms before it.  The
+    coframe (theta, omega, pi) of a reduced Pfaffian system is, with
+    d(x_i) = omega_i, d(n_e) = pi_e and then
+    d(pivot_a) = theta_a - sum_n g_a[n] dn.  The inverse is read off by
+    back-substitution, and any form can then be rewritten in the coframe's
+    wedge basis exactly.  A coframe that is not of full rank at a seeded
+    sample point, or not triangular, raises CoframeDegenerate.
     """
 
-    def __init__(self, chart: Chart, coframe: Sequence[tuple], seed: int = 0):
+    def __init__(self, chart: Chart, coframe: Sequence[tuple]):
         # coframe entries: (label, Form of degree 1)
         self.chart = chart
         self.labels = [lab for lab, _ in coframe]
@@ -295,56 +301,49 @@ class CoframeExpansion:
         if len(coframe) != len(names):
             raise CoframeDegenerate(
                 f"coframe has {len(coframe)} entries for a {len(names)}-dimensional chart")
+        # implied by a successful back-substitution, whose coefficients are
+        # nonzero; kept while perfbench/layers.py requires random_rank to be
+        # reached (ROADMAP item 2)
         matrix = [[f.terms.get((n,), ZERO) for n in names] for f in self.forms]
-        if random_rank(matrix, seed) != len(names):
+        if random_rank(matrix, seed=0) != len(names):
             raise CoframeDegenerate("coframe coefficient matrix is not of full rank")
         # coords[name] = list of (label index, Scalar): d(name) = sum c * coframe_r
-        self.coords = self._invert(matrix, names)
+        self.coords = self._back_substitute()
 
-    def _invert(self, matrix, names):
-        """Sparse Gauss-Jordan: [M | I] -> [I | M^{-1}], rows kept as dicts."""
-        n = len(names)
-        rows = []
-        for j in range(n):
-            rd = {c: v for c, v in enumerate(matrix[j]) if not v.is_zero()}
-            rd[n + j] = ONE
-            rows.append(rd)
-        used = [False] * n
-        pivot_row = {}
-        for col in range(n):
-            candidates = []
-            for r in range(n):
-                if used[r] or col not in rows[r]:
+    def _back_substitute(self):
+        """d of each coordinate in the coframe, by back-substitution.
+
+        A form is used once every coordinate in it but one has been
+        expressed; it then gives d of that last coordinate.
+        """
+        rows = [{idx[0]: c for idx, c in f.terms.items()} for f in self.forms]
+        coords: dict = {}
+        pending = list(range(len(rows)))
+        while pending:
+            waiting = []
+            for j in pending:
+                left = [n for n in rows[j] if n not in coords]
+                if len(left) != 1:
+                    waiting.append(j)
                     continue
-                c = rows[r][col]
-                candidates.append(
-                    (0 if c.as_constant() is not None else 1, len(c.num), len(rows[r]), r))
-            if not candidates:
-                raise CoframeDegenerate("coframe matrix could not be inverted symbolically")
-            r = min(candidates)[-1]
-            used[r] = True
-            pivot_row[col] = r
-            pc = rows[r][col]
-            if pc != ONE:
-                rows[r] = {c: v / pc for c, v in rows[r].items()}
-            prow = rows[r]
-            for rr in range(n):
-                if rr == r or col not in rows[rr]:
-                    continue
-                f = rows[rr][col]
-                nr = dict(rows[rr])
-                for c, v in prow.items():
-                    s = nr.get(c, ZERO) - f * v
-                    if s.is_zero():
-                        nr.pop(c, None)
-                    else:
-                        nr[c] = s
-                rows[rr] = nr
-        out = {}
-        for c, name in enumerate(names):
-            prow = rows[pivot_row[c]]
-            out[name] = [(j, prow[n + j]) for j in range(n) if n + j in prow]
-        return out
+                (name,) = left
+                inv = ONE / rows[j][name]
+                acc = {j: inv}
+                for n, c in rows[j].items():
+                    if n == name:
+                        continue
+                    f = -(c * inv)
+                    for i, v in coords[n].items():
+                        s = acc.get(i, ZERO) + f * v
+                        if s.is_zero():
+                            acc.pop(i, None)
+                        else:
+                            acc[i] = s
+                coords[name] = acc
+            if len(waiting) == len(pending):
+                raise CoframeDegenerate("coframe is not triangular")
+            pending = waiting
+        return {n: sorted(acc.items()) for n, acc in coords.items()}
 
     def expand_two_form(self, f: Form) -> dict:
         """Coefficients over ordered label pairs (i < j) of the coframe wedge basis."""

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .scalars import (Chart, Dependent, NonLinearInUnknowns, ROLE_FIELD,
                       ROLE_GRASSMANN, ROLE_JET, ROLE_MULTIPLIER, Scalar, ONE,
-                      _linear_split, solve_linear)
+                      _linear_split, solve_linear, solve_rows)
 from .exterior import (Form, MultiVector, Substitution, vertical_degree,
                        volume_contraction)
 from .pfaffian import EmptyLocus, PfaffianSystem, _dedupe, make_system
@@ -207,14 +207,6 @@ def hamilton_equations(ls: LepageSpace, gchart: Chart) -> list:
     return eqs
 
 
-def _is_linear_in(eq: Scalar, unknowns: set) -> bool:
-    try:
-        _linear_split(eq, list(unknowns))
-        return True
-    except NonLinearInUnknowns:
-        return False
-
-
 def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,
                          eqs: Sequence[Scalar]) -> HamiltonLocus:
     """Cut the Hamilton submanifold out of the Grassmann bundle.
@@ -266,14 +258,18 @@ def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,
             pending = [e for e in pending if e not in zfree]
             progress = True
             continue
-        linear = [e for e in pending if _is_linear_in(e, zset)]
-        if linear:
-            live = [n for n in znames if n not in bindings]
-            res = solve_linear(linear, live)
+        live = [n for n in znames if n not in bindings]
+        rows, nonlinear = [], []
+        for e in pending:
+            try:
+                rows.append(_linear_split(e, live))
+            except NonLinearInUnknowns:
+                nonlinear.append(e)
+        if rows:
+            res = solve_rows(rows, live)
             residual_guard(res.residual)
             merge(res.solved, res.assumptions)
-            pending = [e for e in pending if e not in linear]
-            pending.extend(r for r in res.residual if not r.is_zero())
+            pending = nonlinear + [r for r in res.residual if not r.is_zero()]
             progress = True
             continue
         if pending:

@@ -4,10 +4,12 @@ machinery of the Cartan algorithm.
 A system carries 1-form generators kept in reduced form: each generator has a
 designated fiber pivot coordinate with unit coefficient, distinct across
 generators.  The complement coframe is then simply the differentials of the
-remaining fiber coordinates, and (theta, omega, pi) is a coframe by block
-triangularity.  Structure equations, the absorption system and the
-integral-element dimension are computed exactly, once per system; only the
-polar codimensions behind the Cartan characters are ranks evaluated at
+remaining fiber coordinates, and (theta, omega, pi) is a triangular coframe:
+d(pivot_a) = theta_a - sum_n g_a[n] dn, read off by back-substitution.
+Structure equations, the absorption system and the integral-element
+dimension are computed exactly, once per system; the absorption system goes
+to solve_rows as rows of tableau and torsion entries.  Only the polar
+codimensions behind the Cartan characters are ranks evaluated at
 seed-derived generic points.
 """
 
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .scalars import (Chart, Dependent, LinearSolveResult, ROLE_GRASSMANN, Scalar,
-                      SeedStream, ZERO, ONE, generic_ranks, solve_linear)
+                      SeedStream, ZERO, ONE, generic_ranks, solve_linear,
+                      solve_rows)
 from .exterior import CoframeExpansion, Form, Substitution, identity_substitution
 
 
@@ -215,24 +218,28 @@ def structure_equations(sys: PfaffianSystem,
                 if not c.is_zero():
                     raise NotLinearPfaffian(
                         f"pi/\\pi term with coefficient {c} in d(theta_{a})")
-    eqs, unknowns, slopes = _absorption_system(sys, names, tableau, torsion)
+    rows, unknowns, slopes = _absorption_system(sys, names, tableau, torsion)
     return StructureEquations(system=sys, tableau=tableau, torsion_raw=torsion,
                               complement=list(names),
-                              absorption=solve_linear(eqs, unknowns), slopes=slopes)
+                              absorption=solve_rows(rows, unknowns), slopes=slopes)
 
 
 def _absorption_system(sys: PfaffianSystem, complement: Sequence[str],
                        tableau: dict, torsion: dict):
-    """The inhomogeneous linear system for integral elements over a point.
+    """The inhomogeneous linear system for integral elements over a point,
+    as solve_rows rows.
 
     Unknown p_{e,i} is the omega^i-slope of pi^e; its name doubles as the
-    coordinate name a prolongation would introduce.  The elimination order
-    is reversed declaration order, which keeps the slopes of earlier
-    complement directions free (the parametrization whose coordinate names
-    the worked character ladders are calibrated against).
+    coordinate name a prolongation would introduce.  The row of generator a
+    and independence pair i < j reads
+    T^a_{ij} + sum_e (A^a_{ej} p_{e,i} - A^a_{ei} p_{e,j}) = 0; each slope
+    occurs in it at most once, so the tableau entries are its coefficients.
+    The elimination order is reversed declaration order, which keeps the
+    slopes of earlier complement directions free (the parametrization whose
+    coordinate names the worked character ladders are calibrated against).
     """
     m = sys.m
-    eqs = []
+    rows = []
     unknowns = []
     uname = {}
     for e, en in enumerate(complement):
@@ -246,17 +253,18 @@ def _absorption_system(sys: PfaffianSystem, complement: Sequence[str],
     for a in range(len(sys.generators)):
         for i in range(m):
             for j in range(i + 1, m):
-                eq = torsion.get((a, i, j), ZERO)
+                coeffs = {}
                 for e in range(len(complement)):
                     aej = tableau.get((a, e, j))
-                    if aej is not None and not aej.is_zero():
-                        eq = eq + aej * Scalar.var(uname[(e, i)])
+                    if aej is not None:
+                        coeffs[uname[(e, i)]] = aej
                     aei = tableau.get((a, e, i))
-                    if aei is not None and not aei.is_zero():
-                        eq = eq - aei * Scalar.var(uname[(e, j)])
-                if not eq.is_zero():
-                    eqs.append(eq)
-    return eqs, unknowns, uname
+                    if aei is not None:
+                        coeffs[uname[(e, j)]] = -aei
+                const = torsion.get((a, i, j), ZERO)
+                if coeffs or not const.is_zero():
+                    rows.append((coeffs, const))
+    return rows, unknowns, uname
 
 
 def essential_torsion(se: StructureEquations) -> list:
@@ -468,21 +476,6 @@ def restrict(sys: PfaffianSystem, constraints: Sequence[Scalar],
             raise EmptyLocus("restriction contradicts a carried zero-form")
         if k is None:
             zero.append(zz.constraint_normal())
-    gens, pivots, extra_zero, extra_assumptions = reduce_generators(new_chart, pulled)
-    out = PfaffianSystem(
-        chart=new_chart, generators=gens, pivots=pivots,
-        zero_forms=_dedupe(zero + leftover + extra_zero),
-        assumptions=_dedupe(sys.assumptions + res.assumptions + extra_assumptions))
-    return out, subst
+    return make_system(new_chart, pulled, zero + leftover,
+                       sys.assumptions + res.assumptions), subst
 
-
-def contact_system(chart: Chart, jets: dict) -> PfaffianSystem:
-    """Contact system du^A - u^A_k dx^k for a jet-structure mapping
-    field -> (jet name per independent); a convenience for tests."""
-    forms = []
-    for f, js in jets.items():
-        terms = {(f,): ONE}
-        for xn, jn in zip(chart.independent, js):
-            terms[(xn,)] = -Scalar.var(jn)
-        forms.append(Form(chart, 1, terms))
-    return make_system(chart, forms)

@@ -75,15 +75,12 @@ class ExprContext:
     ranges: dict                     # index name -> list[int]
     antisym: dict                    # family base -> True
     metric: Optional[dict] = None    # (i, j) -> Fraction
-    extra: Optional[dict] = None     # name -> Form (e.g. multiplier placeholders)
 
     def lookup(self, name: str, line: int):
         if name in self.chart:
             return Form.scalar(self.chart, Scalar.var(name))
         if name in self.params:
             return Form.scalar(self.chart, Scalar.const(self.params[name]))
-        if self.extra and name in self.extra:
-            return self.extra[name]
         raise ParseError(f"undeclared name {name!r}", line)
 
     def lookup_indexed(self, base: str, indices, line: int):

@@ -804,19 +804,29 @@ def _linear_split(eq: Scalar, unknowns: Sequence[str]):
 
 
 def solve_linear(eqs: Sequence[Scalar], unknowns: Sequence[str]) -> LinearSolveResult:
+    """Gaussian elimination over the scalar field, of equations given as scalars.
+
+    Each nonzero equation is split into its coefficients and constant
+    (raising NonLinearInUnknowns when it is not affine-linear in the
+    unknowns) and the rows are handed to solve_rows.
+    """
+    return solve_rows([_linear_split(eq, unknowns) for eq in eqs if not eq.is_zero()],
+                      unknowns)
+
+
+def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveResult:
     """Gaussian elimination over the scalar field.
 
-    Pivots follow the given unknown order (earlier unknowns are eliminated
-    first); among candidate rows for an unknown, constant pivot coefficients
-    are preferred, then sparser ones.  A pivot that vanishes identically is
-    skipped; a nonconstant pivot is recorded as a genericity assumption.
+    A row is (coefficients, constant) for the equation
+    sum(coefficients[u] * u) + constant = 0, with coefficients mapping
+    unknowns to nonzero scalars free of the unknowns; the coefficient dicts
+    are consumed.  Pivots follow the given unknown order (earlier unknowns
+    are eliminated first); among candidate rows for an unknown, constant
+    pivot coefficients are preferred, then sparser ones.  A pivot that
+    vanishes identically is skipped; a nonconstant pivot is recorded as a
+    genericity assumption.
     """
-    rows = []
-    for eq in eqs:
-        if eq.is_zero():
-            continue
-        coeffs, const = _linear_split(eq, unknowns)
-        rows.append((coeffs, const))
+    rows = list(rows)
     solved: dict = {}
     order: list = []
     assumptions: list = []

@@ -227,6 +227,60 @@ def test_coframe_degenerate():
         CoframeExpansion(CH1, bad)
 
 
+def test_non_triangular_coframe_is_degenerate():
+    # of full rank, but once d(p) is expressed, both remaining forms still
+    # hold the two differentials dx and du
+    frame = [("a", D("x", CH1) + D("u", CH1)), ("b", D("x", CH1) - D("u", CH1)),
+             ("c", D("p", CH1))]
+    with pytest.raises(CoframeDegenerate, match="not triangular"):
+        CoframeExpansion(CH1, frame)
+
+
+@st.composite
+def coframe_coefficient(draw, nonzero=False):
+    # univariate in x, so that the canonical forms stay cheap to compute
+    if nonzero:
+        c = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
+        return Scalar.const(c) * (V("x") + 1) ** draw(st.integers(0, 2))
+    return Scalar.const(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))) \
+        + Scalar.const(draw(st.integers(-2, 2))) * V("x")
+
+
+@st.composite
+def triangular_coframe(draw):
+    """The forms of a drawn coordinate order, each adding its own coordinate's
+    differential with a nonzero coefficient to some of the earlier ones,
+    listed in a drawn order."""
+    order = draw(st.permutations(list(CH.names)))
+    forms = []
+    for k, own in enumerate(order):
+        terms = {(own,): draw(coframe_coefficient(nonzero=True))}
+        for n in order[:k]:
+            if draw(st.integers(0, 2)) == 0:
+                terms[(n,)] = draw(coframe_coefficient())
+        forms.append(Form(CH, 1, terms))
+    return [(j, forms[j]) for j in draw(st.permutations(range(len(forms))))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_coframe(), st.lists(st.tuples(st.permutations(list(CH.names)),
+                                                 coframe_coefficient()), max_size=3))
+def test_back_substitution_inverts_triangular_coframes(coframe, two_terms):
+    exp = CoframeExpansion(CH, coframe)
+    for n in CH.names:
+        back = Form(CH, 1, {})
+        for j, c in exp.coords[n]:
+            back = back + exp.forms[j].scale(c)
+        assert back == D(n)
+    a = Form(CH, 2, {})
+    for names, c in two_terms:
+        a = a + D(names[0]).wedge(D(names[1])).scale(c)
+    back = Form(CH, 2, {})
+    for (i, j), c in exp.expand_two_form(a).items():
+        back = back + exp.forms[i].wedge(exp.forms[j]).scale(c)
+    assert (back - a).is_zero()
+
+
 def test_vertical_degree_and_volume():
     assert vertical_degree(TH) == 1
     assert vertical_degree(volume_form(CH)) == 0

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from cartaneds import scalars
+from cartaneds import ladder, scalars
 from cartaneds.cli import FIXTURE_CASES, FIXTURE_NAMES, fixture_text
 from cartaneds.hamilton import DegreeMismatch
 from cartaneds.pfaffian import cartan_characters, prolongation_dim, structure_equations
 from cartaneds.problems import parse_problem
 from cartaneds.report import analyze, emit
+from cartaneds.scalars import ZERO, Scalar, solve_linear
 
 
 def trail(rep):
@@ -190,3 +191,44 @@ def test_characters_rank_once_per_sample(reports, monkeypatch):
         calls.clear()
         cartan_characters(se, seed=0, samples=3, flag=flag)
         assert len(calls) == 3
+
+
+def scalar_absorption_equations(se):
+    """The absorption system of se with each row packed into one Scalar over
+    a common denominator, the encoding solve_linear splits again: the
+    reference for the rows structure_equations hands to solve_rows."""
+    eqs = []
+    for a in range(se.s0):
+        for i in range(se.m):
+            for j in range(i + 1, se.m):
+                eq = se.torsion_raw.get((a, i, j), ZERO)
+                for e in range(se.t):
+                    aej = se.tableau.get((a, e, j))
+                    if aej is not None and not aej.is_zero():
+                        eq = eq + aej * Scalar.var(se.slopes[(e, i)])
+                    aei = se.tableau.get((a, e, i))
+                    if aei is not None and not aei.is_zero():
+                        eq = eq - aei * Scalar.var(se.slopes[(e, j)])
+                if not eq.is_zero():
+                    eqs.append(eq)
+    return eqs
+
+
+@pytest.mark.parametrize("name,params", sorted(GOLDEN), ids=lambda v: str(v))
+def test_absorption_rows_solve_as_scalar_equations(name, params, monkeypatch):
+    built = []
+
+    def build(sys):
+        built.append(structure_equations(sys))
+        return built[-1]
+    monkeypatch.setattr(ladder, "structure_equations", build)
+    analyze(parse_problem(fixture_text(name),
+                          param_overrides={k: Fraction(v) for k, v in params}))
+    assert built
+    for se in built:
+        unknowns = [se.slopes[k] for k in sorted(se.slopes, reverse=True)]
+        want = solve_linear(scalar_absorption_equations(se), unknowns)
+        got = se.absorption
+        assert list(got.solved.items()) == list(want.solved.items())
+        assert (got.residual, got.free, got.assumptions) == \
+            (want.residual, want.free, want.assumptions)

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from cartaneds import scalars
 from cartaneds.scalars import Chart, Dependent, Scalar, ONE, SeedStream, sample_point
 from cartaneds.exterior import Form
+from cartaneds.hamilton import contact_forms
 from cartaneds.pfaffian import (EmptyLocus, cartan_characters, cartan_test,
-                                contact_system, essential_torsion, make_system,
+                                essential_torsion, make_system,
                                 prolong, prolongation_dim, prune_constraints,
                                 restrict, structure_equations)
 
@@ -24,11 +26,15 @@ def contact_chart(m_names, fields_with_jets):
     return Chart(m_names, deps)
 
 
+def contact_system(chart):
+    return make_system(chart, [f for _, f in contact_forms(chart)])
+
+
 J1R3 = contact_chart(["x", "y", "z"], {"u": ["p", "q", "r"]})
-SYS_J1R3 = contact_system(J1R3, {"u": ["p", "q", "r"]})
+SYS_J1R3 = contact_system(J1R3)
 
 J1R2 = contact_chart(["x", "y"], {"u": ["p", "q"]})
-SYS_J1R2 = contact_system(J1R2, {"u": ["p", "q"]})
+SYS_J1R2 = contact_system(J1R2)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +160,7 @@ def test_characters_match_brute_force_on_mixed_system():
 
 def test_adapt_coframe_contact_systems():
     ch = contact_chart(["t"], {"q": ["v"]})
-    sys = contact_system(ch, {"q": ["v"]})
+    sys = contact_system(ch)
     assert sys.complement == ["v"]
     assert SYS_J1R3.complement == ["p", "q", "r"]
 
@@ -188,6 +194,20 @@ def test_essential_torsion_complement_independent():
     shifted = [("Z", Form(ch, 1, {("Z",): ONE, ("x",): V("u") * V("y"), ("y",): ONE + V("Z")}))]
     alt = essential_torsion(structure_equations(sys, complement_forms=shifted))
     assert default == alt == [V("Z")]
+
+
+def test_structure_equations_split_no_equation(monkeypatch):
+    # the absorption rows go to the eliminator as built, without a round
+    # trip through one Scalar per row
+    calls = []
+    split = scalars._linear_split
+    monkeypatch.setattr(scalars, "_linear_split", lambda *a: calls.append(1) or split(*a))
+    ch = Chart(["x", "y", "z"], [Dependent("u"), Dependent("Z", "grassmann", 1)])
+    torsion = make_system(ch, [Form(ch, 1, {("u",): ONE, ("x",): V("Z") / V("y"),
+                                            ("z",): -V("Z")})])
+    assert prolongation_dim(structure_equations(SYS_J1R3)) == 6
+    assert essential_torsion(structure_equations(torsion)) == [V("Z")]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
