@@ -38,11 +38,9 @@ EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_SOFTWARE = 70
 
-FIXTURE_NAMES = [
-    "sundermeyer", "maxwell", "integrability", "strong-integrability",
-    "field-prolongation", "affine", "saunders",
-    "vacuous-lepage", "inconsistent",
-]
+FIXTURE_NAMES = sorted(f.name.removesuffix(".prob")
+                       for f in resources.files("cartaneds").joinpath("fixtures").iterdir()
+                       if f.name.endswith(".prob"))
 
 # per-fixture parameter cases (name, overrides)
 FIXTURE_CASES = {

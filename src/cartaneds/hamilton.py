@@ -18,7 +18,8 @@ from .scalars import (Chart, Dependent, NonLinearInUnknowns, ROLE_FIELD,
                       _linear_split, solve_linear, solve_rows)
 from .exterior import (Form, MultiVector, Substitution, vertical_degree,
                        volume_contraction)
-from .pfaffian import EmptyLocus, PfaffianSystem, _dedupe, make_system
+from .pfaffian import (EmptyLocus, PfaffianSystem, _dedupe, make_system,
+                       peel_assumed_factor)
 
 
 class MissingJetStructure(ValueError):
@@ -276,7 +277,7 @@ def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,
             # quadratic leftovers: try to peel an already-assumed nonzero factor
             still = []
             for e in pending:
-                peeled = _peel_assumed_factor(e, assumptions)
+                peeled = peel_assumed_factor(e, assumptions)
                 if peeled is None:
                     raise NonLinearInUnknowns(e)
                 if not peeled.is_zero():
@@ -297,15 +298,6 @@ def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,
                          base_constraints=_dedupe(base_constraints),
                          assumptions=_dedupe(system.assumptions),
                          pfaffian=system)
-
-
-def _peel_assumed_factor(eq: Scalar, assumptions: Sequence[Scalar]):
-    from .scalars import p_div_exact
-    for a in assumptions:
-        q = p_div_exact(eq.num, a.num)
-        if q is not None:
-            return Scalar(q, eq.den)
-    return None
 
 
 def residual_check(hl: HamiltonLocus, ls: LepageSpace) -> bool:

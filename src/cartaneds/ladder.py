@@ -1,11 +1,13 @@
-"""The top-level constraint algorithm.
+"""The top-level constraint algorithm: the Cartan algorithm for linear
+Pfaffian systems.
 
-Iterates per the standard loop for linear Pfaffian systems: restrict by
-zero-forms until none remain, absorb/restrict torsion until it vanishes, run
-Cartan's involutivity test, prolong when the test fails, and repeat.  Every
-restriction and prolongation is recorded as a ladder step with its
-constraints (classified base vs fiber), Cartan characters and genericity
-assumptions.
+Each pass restricts by the zero-forms the system carries or, when there are
+none, builds the structure equations and runs Cartan's test on them once;
+that one report gives the essential torsion, the characters and the verdict.
+Zero-form and torsion constraints share one restriction path under the
+branch policy; a system without torsion stops when involutive and is
+prolonged otherwise.  Every step is recorded with its constraints (base vs
+fiber), Cartan characters and new genericity assumptions.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Optional, Sequence
 from .scalars import NonLinearInUnknowns, Scalar, p_div_exact
 from .exterior import Substitution
 from .hamilton import HamiltonLocus
-from .pfaffian import (CharacterVector, EmptyLocus, PfaffianSystem,
-                       cartan_characters, cartan_test, essential_torsion,
+from .pfaffian import (CharacterVector, EmptyLocus, InvolutivityReport,
+                       PfaffianSystem, cartan_test, peel_assumed_factor,
                        prolong, restrict, structure_equations)
 
 
@@ -103,11 +105,10 @@ def _branch_policy(sys: PfaffianSystem, constraints: list, offending: Scalar) ->
             continue
         if p_div_exact(offending.num, z.num) is not None:
             return rest  # a factor is already zero on the locus
-    for a in sys.assumptions:
-        q = p_div_exact(offending.num, a.num)
-        if q is not None:
-            return rest + [Scalar(q, offending.den).constraint_normal()]
-    raise NeedsUserBranch(offending)
+    peeled = peel_assumed_factor(offending, sys.assumptions)
+    if peeled is None:
+        raise NeedsUserBranch(offending)
+    return rest + [peeled.constraint_normal()]
 
 
 def _restrict_with_policy(sys: PfaffianSystem, constraints: Sequence[Scalar]):
@@ -138,7 +139,7 @@ def run_system(sys: PfaffianSystem, subst: Substitution, seed: int,
                 fresh.append(f"{a} != 0")
         return fresh
 
-    def record(kind, constraints=(), characters=None, characters_generic=None,
+    def record(kind, constraints=(), report: Optional[InvolutivityReport] = None,
                added=(), system=None, sub=None):
         base, fiber = _split_constraints(list(constraints), sys.chart)
         if sub is not None:
@@ -152,54 +153,38 @@ def run_system(sys: PfaffianSystem, subst: Substitution, seed: int,
         steps.append(LadderStep(
             level=len(steps) + 1, kind=kind,
             new_base_constraints=base, new_fiber_constraints=fiber,
-            characters=characters, characters_generic=characters_generic,
+            characters=report.characters if report else None,
+            characters_generic=report.characters_generic if report else None,
             assumptions=new_assumptions(system if system is not None else sys),
             added_coordinates=list(added)))
 
     while len(steps) < max_steps:
-        zf = sys.zero_forms
-        if zf:
-            try:
-                nxt, sub = _restrict_with_policy(sys, zf)
-            except EmptyLocus:
-                record("empty_locus", constraints=zf)
-                return ConstraintLadder(steps, None, VERDICT_EMPTY, subst, hamilton)
-            except NeedsUserBranch:
-                record("zero_forms", constraints=zf)
-                return ConstraintLadder(steps, sys, VERDICT_BRANCH, subst, hamilton)
-            record("zero_forms", constraints=zf, system=nxt, sub=sub)
-            sys, subst = nxt, subst.compose(sub)
+        report = None
+        kind, constraints = "zero_forms", sys.zero_forms
+        if not constraints:
+            se = structure_equations(sys)
+            report = cartan_test(se, seed)
+            kind, constraints = "torsion", report.torsion_essential
+        if not constraints:
+            if report.involutive:
+                record("involutive", report=report)
+                return ConstraintLadder(steps, sys, VERDICT_INVOLUTIVE, subst, hamilton)
+            if prolongations >= max_prolongations:
+                break
+            sys, added = prolong(se)
+            prolongations += 1
+            record("prolongation", report=report, added=added, system=sys)
             continue
-        se = structure_equations(sys)
-        torsion = essential_torsion(se)
-        if torsion:
-            chars = cartan_characters(se, seed)
-            chars_gen = cartan_characters(se, seed, flag="generic")
-            try:
-                nxt, sub = _restrict_with_policy(sys, torsion)
-            except EmptyLocus:
-                record("empty_locus", constraints=torsion, characters=chars,
-                       characters_generic=chars_gen)
-                return ConstraintLadder(steps, None, VERDICT_EMPTY, subst, hamilton)
-            except NeedsUserBranch:
-                record("torsion", constraints=torsion, characters=chars,
-                       characters_generic=chars_gen)
-                return ConstraintLadder(steps, sys, VERDICT_BRANCH, subst, hamilton)
-            record("torsion", constraints=torsion, characters=chars,
-                   characters_generic=chars_gen, system=nxt, sub=sub)
-            sys, subst = nxt, subst.compose(sub)
-            continue
-        report = cartan_test(se, seed)
-        if report.involutive:
-            record("involutive", characters=report.characters,
-                   characters_generic=report.characters_generic)
-            return ConstraintLadder(steps, sys, VERDICT_INVOLUTIVE, subst, hamilton)
-        if prolongations >= max_prolongations:
-            break
-        sys, added = prolong(se)
-        prolongations += 1
-        record("prolongation", characters=report.characters,
-               characters_generic=report.characters_generic, added=added, system=sys)
+        try:
+            nxt, sub = _restrict_with_policy(sys, constraints)
+        except EmptyLocus:
+            record("empty_locus", constraints, report)
+            return ConstraintLadder(steps, None, VERDICT_EMPTY, subst, hamilton)
+        except NeedsUserBranch:
+            record(kind, constraints, report)
+            return ConstraintLadder(steps, sys, VERDICT_BRANCH, subst, hamilton)
+        record(kind, constraints, report, system=nxt, sub=sub)
+        sys, subst = nxt, subst.compose(sub)
     return ConstraintLadder(steps, sys, VERDICT_BUDGET, subst, hamilton)
 
 

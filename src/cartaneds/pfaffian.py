@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .scalars import (Chart, Dependent, LinearSolveResult, ROLE_GRASSMANN, Scalar,
-                      SeedStream, ZERO, ONE, generic_ranks, solve_linear,
-                      solve_rows)
+                      SeedStream, ZERO, ONE, generic_ranks, p_div_exact,
+                      solve_linear, solve_rows)
 from .exterior import CoframeExpansion, Form, Substitution, identity_substitution
 
 
@@ -75,7 +75,6 @@ def _dedupe(scalars: Sequence[Scalar]) -> list:
 def prune_constraints(scalars: Sequence[Scalar]) -> list:
     """Drop constraints that are polynomial multiples of another listed one
     (their zero locus already contains the other's)."""
-    from .scalars import p_div_exact
     items = _dedupe(scalars)
     out: list = []
     for i, s in enumerate(items):
@@ -89,6 +88,17 @@ def prune_constraints(scalars: Sequence[Scalar]) -> list:
         if not redundant:
             out.append(s)
     return out
+
+
+def peel_assumed_factor(eq: Scalar, assumptions: Sequence[Scalar]) -> Optional[Scalar]:
+    """eq with the first factor recorded as nonvanishing divided out of its
+    numerator (same zero locus where the assumptions hold), or None when no
+    assumption divides it."""
+    for a in assumptions:
+        q = p_div_exact(eq.num, a.num)
+        if q is not None:
+            return Scalar(q, eq.den)
+    return None
 
 
 def reduce_generators(chart: Chart, forms: Sequence[Form]):
@@ -286,7 +296,7 @@ class CharacterVector:
         return sum((k + 1) * sk for k, sk in enumerate(self.s))
 
 
-def cartan_characters(se: StructureEquations, seed: int, samples: int = 3,
+def cartan_characters(se: StructureEquations, seed: int,
                       flag: str = "coordinate") -> CharacterVector:
     """Cartan characters from polar-space codimensions of a flag.
 
@@ -330,7 +340,7 @@ def cartan_characters(se: StructureEquations, seed: int, samples: int = 3,
                     row[e] = row.get(e, 0) + v * direction[i]
         return rows, cuts
 
-    best = generic_ranks(polar_matrices, names, stream, samples)
+    best = generic_ranks(polar_matrices, names, stream)
     codims = (s0,) + tuple(s0 + r for r in best)
     s = []
     prev = 0
@@ -364,11 +374,15 @@ class InvolutivityReport:
 def cartan_test(se: StructureEquations, seed: int) -> InvolutivityReport:
     """Cartan's involutivity test at a generic point of the current locus.
 
+    The one report a ladder step reads off a build of the structure
+    equations: essential torsion, both character flavors and the verdict.
     The test compares the exact integral-element fiber dimension against the
     weighted sum of generic-flag characters; the reported character list
-    uses the coordinate flag.  Only the characters are sampled, and a short
-    sampled polar rank or a non-generic flag only raises the sum, so a
-    violated Cartan inequality is an internal error, never retried.
+    uses the coordinate flag.  Cartan's bound dim A^(1) <= s_1 + 2 s_2 + ...
+    + m s_m holds for any tableau, whatever its torsion, and a short sampled
+    polar rank or a non-generic flag only raises the sum, so a violated
+    Cartan inequality means rank sampling is broken: an internal error,
+    never retried.
     """
     if se.system.zero_forms:
         raise ValueError("cartan_test requires an empty zero-form list")

@@ -344,6 +344,10 @@ def p_gcd(a: Poly, b: Poly) -> Poly:
         mono_g: Poly = {mono: Fraction(1)}
     else:
         mono_g = p_const(1)
+    if len(a) == 1 or len(b) == 1:
+        # a gcd with a single term is a monomial, and no variable is common
+        # to every term any more
+        return mono_g
     va, vb = p_variables(a), p_variables(b)
     shared = sorted(va & vb)
     if not shared:
@@ -893,6 +897,7 @@ def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveRes
 _MASK64 = (1 << 64) - 1
 _PRIMES = ((1 << 61) - 1, (1 << 89) - 1)
 SAMPLE_BOUND = 10_000
+SAMPLES = 3                 # sample points per generic rank
 
 
 class SeedStream:
@@ -985,7 +990,7 @@ def _rank_mod(rows, cuts, p: int) -> list:
 
 
 def generic_ranks(matrices: Callable[[dict], tuple], names: Iterable[str],
-                  stream: SeedStream, samples: int) -> tuple:
+                  stream: SeedStream) -> tuple:
     """Generic ranks of the leading blocks of a point-dependent rational matrix,
     by seeded sampling.
 
@@ -994,8 +999,8 @@ def generic_ranks(matrices: Callable[[dict], tuple], names: Iterable[str],
     which rank_fractions ranks in one pass per prime.  It may draw further
     values from stream (flag directions).  A point where it or rank_fractions
     raises ZeroDivisionError (a vanishing denominator) is redrawn, up to 8
-    times per sample.  The result is the largest tuple of ranks over the
-    samples.
+    times per sample.  The result is the componentwise maximum of the
+    block ranks over the SAMPLES samples.
 
     The error is one-sided: a sampled rank never exceeds the generic rank r.
     A minor that vanishes identically vanishes at every point and modulo
@@ -1003,27 +1008,25 @@ def generic_ranks(matrices: Callable[[dict], tuple], names: Iterable[str],
     point is a zero of a nonzero r x r minor or the prime divides its value.
     For a minor of degree D and coordinates drawn uniformly from a finite
     set S the former has probability at most D/|S| (Schwartz 1980; Zippel
-    1979).  Maximizing over samples thus only moves toward r.
+    1979).  Maximizing each block's rank over samples thus only moves it
+    toward its r.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     best = None
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         for _retry in range(8):
             point = sample_point(names, stream)
             try:
                 got = rank_fractions(*matrices(point))
             except ZeroDivisionError:
                 continue
-            if best is None or got > best:
-                best = got
+            best = got if best is None else tuple(map(max, best, got))
             break
     if best is None:
         raise AllSamplesDegenerate("every sample point hit a vanishing denominator")
     return best
 
 
-def random_rank(matrix: Sequence[Sequence[Scalar]], seed: int, samples: int = 3) -> int:
+def random_rank(matrix: Sequence[Sequence[Scalar]], seed: int) -> int:
     """Generic rank of a matrix of scalars: max exact rank over seeded samples.
 
     Only the nonzero entries are evaluated; a zero has denominator 1 and
@@ -1038,5 +1041,5 @@ def random_rank(matrix: Sequence[Sequence[Scalar]], seed: int, samples: int = 3)
     def evaluated(point):
         return [{j: c.evaluate(point) for j, c in row.items()} for row in rows], (len(rows),)
 
-    (rank,) = generic_ranks(evaluated, names, SeedStream(seed), samples)
+    (rank,) = generic_ranks(evaluated, names, SeedStream(seed))
     return rank

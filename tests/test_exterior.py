@@ -236,14 +236,23 @@ def test_non_triangular_coframe_is_degenerate():
         CoframeExpansion(CH1, frame)
 
 
+def rational(draw, nonzero=False):
+    num = st.integers(-3, 3).filter(bool) if nonzero else st.integers(-3, 3)
+    return Scalar.const(Fraction(draw(num), draw(st.integers(1, 3))))
+
+
 @st.composite
-def coframe_coefficient(draw, nonzero=False):
-    # univariate in x, so that the canonical forms stay cheap to compute
+def coframe_coefficient(draw, nonzero=False, multivariate=False):
+    # univariate coframes pivot on powers of x + 1, with entries affine in x;
+    # multivariate ones pivot on monomials such as u/2 or -2uy/3, with
+    # entries affine in x, u and y (mixing the two makes the gcds slow)
+    if nonzero and multivariate:
+        return rational(draw, True) * V("u") ** draw(st.integers(0, 2)) \
+            * V("y") ** draw(st.integers(0, 1))
     if nonzero:
-        c = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
-        return Scalar.const(c) * (V("x") + 1) ** draw(st.integers(0, 2))
-    return Scalar.const(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))) \
-        + Scalar.const(draw(st.integers(-2, 2))) * V("x")
+        return rational(draw, True) * (V("x") + 1) ** draw(st.integers(0, 2))
+    names = ("x", "u", "y") if multivariate else ("x",)
+    return rational(draw) + sum((rational(draw) * V(n) for n in names), ZERO)
 
 
 @st.composite
@@ -251,13 +260,14 @@ def triangular_coframe(draw):
     """The forms of a drawn coordinate order, each adding its own coordinate's
     differential with a nonzero coefficient to some of the earlier ones,
     listed in a drawn order."""
+    multivariate = draw(st.booleans())
     order = draw(st.permutations(list(CH.names)))
     forms = []
     for k, own in enumerate(order):
-        terms = {(own,): draw(coframe_coefficient(nonzero=True))}
+        terms = {(own,): draw(coframe_coefficient(True, multivariate))}
         for n in order[:k]:
             if draw(st.integers(0, 2)) == 0:
-                terms[(n,)] = draw(coframe_coefficient())
+                terms[(n,)] = draw(coframe_coefficient(False, multivariate))
         forms.append(Form(CH, 1, terms))
     return [(j, forms[j]) for j in draw(st.permutations(range(len(forms))))]
 

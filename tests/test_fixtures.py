@@ -189,8 +189,8 @@ def test_characters_rank_once_per_sample(reports, monkeypatch):
     monkeypatch.setattr(scalars, "rank_fractions", lambda *a: calls.append(1) or rank(*a))
     for flag in ("coordinate", "generic"):
         calls.clear()
-        cartan_characters(se, seed=0, samples=3, flag=flag)
-        assert len(calls) == 3
+        cartan_characters(se, seed=0, flag=flag)
+        assert len(calls) == scalars.SAMPLES
 
 
 def scalar_absorption_equations(se):

@@ -101,6 +101,24 @@ def test_needs_user_branch_on_irreducible_product():
     assert lad.verdict == "needs_user_branch"
 
 
+def test_torsion_step_needing_a_branch_keeps_its_characters():
+    # du - x(uv - v) dy carries the essential torsion uv - v, a product of
+    # unknowns with no factor that vanishes or is assumed nonzero
+    ch = Chart(["x", "y"], [Dependent("u", "field"), Dependent("v", "field"),
+                            Dependent("w", "field"),
+                            Dependent("Zw", "grassmann", 1, ("w", "x"))])
+    th = Form(ch, 1, {("u",): ONE, ("y",): -V("x") * (V("u") * V("v") - V("v"))})
+    sys = make_system(ch, [th, Form.differential(ch, "v"),
+                           Form(ch, 1, {("w",): ONE, ("x",): -V("Zw")})])
+    lad = run_system(sys, identity_substitution(ch), seed=1)
+    assert lad.verdict == "needs_user_branch"
+    assert lad.final_system is sys
+    (step,) = lad.steps
+    assert step.kind == "torsion"
+    assert step.new_base_constraints == [V("u") * V("v") - V("v")]
+    assert step.characters.s == step.characters_generic.s == (1, 0)
+
+
 def test_branch_policy_drops_zero_factor():
     ch = Chart(["x"], [Dependent("u", "field"), Dependent("w", "field"),
                        Dependent("Zu", "grassmann", 1, ("u", "x"))])
@@ -185,20 +203,23 @@ def test_summarize_shape():
 def test_structure_equations_built_once_per_system(monkeypatch, name):
     # every step after the zero-form restrictions reads torsion, characters,
     # the Cartan test and the prolongation off one build of the structure
-    # equations and one absorption solve
+    # equations, one absorption solve and one Cartan test
     from cartaneds import ladder, pfaffian
     from cartaneds.cli import fixture_text
     from cartaneds.problems import parse_problem
     from cartaneds.report import analyze
-    calls = []
-    original = pfaffian.structure_equations
+    calls = {n: 0 for n in ("structure_equations", "cartan_test", "essential_torsion")}
+    for n in calls:
+        original = getattr(pfaffian, n)
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-    monkeypatch.setattr(pfaffian, "structure_equations", counted)
-    monkeypatch.setattr(ladder, "structure_equations", counted)
+        def counted(*args, n=n, original=original, **kwargs):
+            calls[n] += 1
+            return original(*args, **kwargs)
+        for module in (pfaffian, ladder):
+            if getattr(module, n, None) is original:
+                monkeypatch.setattr(module, n, counted)
     rep = analyze(parse_problem(fixture_text(name)))
     assert rep.verdict == "involutive"
     built = sum(s["kind"] != "zero_forms" for s in rep.steps)
-    assert len(calls) == built == 7
+    assert built == 7
+    assert calls == dict.fromkeys(calls, built)

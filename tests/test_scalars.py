@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cartaneds import scalars
-from cartaneds.scalars import (_PRIMES, AllSamplesDegenerate, Chart, Dependent,
-                               DomainError, NonLinearInUnknowns, Scalar, ONE,
-                               ZERO, SeedStream, generic_ranks, p_add, p_gcd,
+from cartaneds.scalars import (_PRIMES, SAMPLES, AllSamplesDegenerate, Chart,
+                               Dependent, DomainError, NonLinearInUnknowns, Scalar,
+                               ONE, ZERO, SeedStream, generic_ranks, p_add, p_gcd,
                                p_leading, p_mul, p_sub, rank_fractions,
                                random_rank, solve_linear)
 
@@ -280,6 +280,23 @@ def test_trivial_operands_skip_the_gcd(monkeypatch):
     assert total == Scalar(p_add(p_mul(a.num, b.den), p_mul(b.num, a.den)), p_mul(a.den, b.den))
 
 
+def test_gcd_with_a_monomial_takes_no_remainder_sequence(monkeypatch):
+    # Henrici with denominators u^2 y and u y^2: gcd(b, d) = u y and
+    # gcd(numerator, u y) = 1 are both read off the common monomial
+    x, u, y = V("x"), V("u"), V("y")
+    a = ((x + u + y + 1) ** 2 - 3 * x * u * y) / (u ** 2 * y)
+    b = ((2 * x - u + 3 * y - 1) ** 2 + x * u) / (u * y ** 2)
+    calls = []
+    kernel = scalars.p_gcd
+    monkeypatch.setattr(scalars, "p_gcd", lambda *args: calls.append(args) or kernel(*args))
+    total = a + b
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert total == Scalar(p_add(p_mul(a.num, b.den), p_mul(b.num, a.den)), p_mul(a.den, b.den))
+    assert total.den == (u ** 2 * y ** 2).num
+    assert p_gcd((x * u ** 2 * y + u * y ** 3).num, (u ** 3 * y ** 2).num) == (u * y).num
+
+
 def _span_contains(base, extra):
     """Rational-span membership via monomial coefficient vectors."""
     monos = sorted({m for s in base + [extra] for m in s.num})
@@ -351,8 +368,8 @@ def test_random_rank_contact_tableau():
 def test_random_rank_determinism():
     x, y = V("x"), V("y")
     m = [[x, y, x * y], [y, x, x + y], [x + y, x - y, ONE]]
-    a = random_rank(m, seed=42, samples=3)
-    b = random_rank(m, seed=42, samples=3)
+    a = random_rank(m, seed=42)
+    b = random_rank(m, seed=42)
     assert a == b
 
 
@@ -375,8 +392,18 @@ def test_no_usable_prime_is_not_rank_zero():
         random_rank([[C(f), ZERO], [ZERO, C(f)]], seed=0)
     # the sampling kernel redraws such a point instead of counting it
     good = [{0: Fraction(1)}, {1: Fraction(1)}]
-    draws = iter([bad, bad, good])
-    assert generic_ranks(lambda point: (next(draws), [2]), [], SeedStream(0), 1) == (2,)
+    draws = iter([bad, bad] + [good] * SAMPLES)
+    assert generic_ranks(lambda point: (next(draws), [2]), [], SeedStream(0)) == (2,)
+
+
+def test_generic_ranks_keep_each_block_at_its_best_sample():
+    # every sampled block rank can only fall short, so each block keeps its
+    # largest sample: (3, 4) and (2, 5) give (3, 5), not the larger tuple
+    unit = [{c: Fraction(1)} for c in range(5)]
+    samples = [(unit[:4], [3, 4]), (unit[:2] + [unit[0]] + unit[2:], [3, 6])]
+    assert [rank_fractions(*m) for m in samples] == [(3, 4), (2, 5)]
+    draws = iter(samples * SAMPLES)
+    assert generic_ranks(lambda point: next(draws), [], SeedStream(0)) == (3, 5)
 
 
 @st.composite
@@ -462,13 +489,8 @@ def test_random_rank_evaluates_only_nonzero_entries(monkeypatch):
     evaluate = Scalar.evaluate
     monkeypatch.setattr(Scalar, "evaluate",
                         lambda self, point: calls.append(1) or evaluate(self, point))
-    assert random_rank(matrix, seed=4, samples=3) == n
-    assert len(calls) <= 3 * nnz
-
-
-def test_samples_validation():
-    with pytest.raises(ValueError):
-        random_rank([[ONE]], seed=0, samples=0)
+    assert random_rank(matrix, seed=4) == n
+    assert len(calls) <= SAMPLES * nnz
 
 
 # ---------------------------------------------------------------------------
