@@ -9,7 +9,8 @@ Exit codes: 0 involutive, 1 empty locus, 2 needs-user-branch,
 3 budget exceeded, 64 usage (including a budget below 1),
 65 parse/validation error, 70 internal error (degenerate rank sampling or
 coframe, a nonlinear Pfaffian, a violated Cartan inequality, a colliding
-prolongation coordinate name).  Exits 65 and 70 print one `error:` line.
+prolongation coordinate name, or any other unexpected exception).  Exits 65
+and 70 print one `error:` line.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .exterior import CoframeDegenerate
 from .hamilton import DegreeMismatch, MissingJetStructure
 from .ladder import NeedsUserBranch, VERDICT_BRANCH, VERDICT_BUDGET, VERDICT_EMPTY, VERDICT_INVOLUTIVE
-from .pfaffian import NotLinearPfaffian
 from .problems import ParseError, parse_problem
 from .report import analyze, emit
 from .scalars import NonLinearInUnknowns
@@ -161,10 +160,9 @@ def main(argv=None) -> int:
     except NonLinearInUnknowns as err:
         print(f"nonlinear constraint: {err}", file=sys.stderr)
         return 2
-    except (ArithmeticError, CoframeDegenerate, NotLinearPfaffian, RuntimeError) as err:
-        # failures of the engine itself, never of the input: AllSamplesDegenerate
-        # and the Cartan-inequality check are ArithmeticErrors, the prolongation
-        # name collision a RuntimeError
+    except Exception as err:
+        # failures of the engine itself, never of the input; exit 1 is the
+        # empty-locus verdict, so no traceback may escape
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_SOFTWARE
 

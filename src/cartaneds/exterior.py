@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .scalars import Chart, Scalar, ZERO, ONE, p_is_one, random_rank
+from .scalars import Chart, Scalar, ZERO, ONE, add_into, p_is_one, random_rank
 
 
 class CoframeDegenerate(ValueError):
@@ -88,11 +88,7 @@ class Form:
             raise ValueError("cannot add forms of different degree")
         terms = dict(self.terms)
         for idx, c in other.terms.items():
-            s = terms.get(idx, ZERO) + c
-            if s.is_zero():
-                terms.pop(idx, None)
-            else:
-                terms[idx] = s
+            add_into(terms, idx, c)
         return Form(self.chart, self.degree if self.terms else other.degree, terms)
 
     def __neg__(self) -> "Form":
@@ -118,12 +114,7 @@ class Form:
                 if sorted_idx is None:
                     continue
                 idx, sign = sorted_idx
-                c = ca * cb if sign > 0 else -(ca * cb)
-                s = terms.get(idx, ZERO) + c
-                if s.is_zero():
-                    terms.pop(idx, None)
-                else:
-                    terms[idx] = s
+                add_into(terms, idx, ca * cb if sign > 0 else -(ca * cb))
         return Form(self.chart, deg, terms)
 
     def d(self) -> "Form":
@@ -140,12 +131,7 @@ class Form:
                 if sorted_idx is None:
                     continue
                 full, sign = sorted_idx
-                c = dc if sign > 0 else -dc
-                s = terms.get(full, ZERO) + c
-                if s.is_zero():
-                    terms.pop(full, None)
-                else:
-                    terms[full] = s
+                add_into(terms, full, dc if sign > 0 else -dc)
         return Form(self.chart, self.degree + 1, terms)
 
     def contract(self, vector: Mapping[str, Scalar]) -> "Form":
@@ -159,14 +145,7 @@ class Form:
                 if comp is None or (isinstance(comp, Scalar) and comp.is_zero()):
                     continue
                 c = coef * comp
-                if k % 2:
-                    c = -c
-                rest = idx[:k] + idx[k + 1:]
-                s = terms.get(rest, ZERO) + c
-                if s.is_zero():
-                    terms.pop(rest, None)
-                else:
-                    terms[rest] = s
+                add_into(terms, idx[:k] + idx[k + 1:], -c if k % 2 else c)
         return Form(self.chart, self.degree - 1, terms)
 
     def __str__(self):
@@ -334,11 +313,7 @@ class CoframeExpansion:
                         continue
                     f = -(c * inv)
                     for i, v in coords[n].items():
-                        s = acc.get(i, ZERO) + f * v
-                        if s.is_zero():
-                            acc.pop(i, None)
-                        else:
-                            acc[i] = s
+                        add_into(acc, i, f * v)
                 coords[name] = acc
             if len(waiting) == len(pending):
                 raise CoframeDegenerate("coframe is not triangular")
@@ -355,13 +330,7 @@ class CoframeExpansion:
                         continue
                     key = (ja, jb) if ja < jb else (jb, ja)
                     c = coef * ca * cb
-                    if jb < ja:
-                        c = -c
-                    s = out.get(key, ZERO) + c
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    add_into(out, key, -c if jb < ja else c)
         return out
 
 

@@ -47,7 +47,6 @@ class LepageSpace:
     chart: Chart                      # extended with multiplier coordinates
     theta: Form
     omega: Form                       # d(theta), closed by construction
-    provenance: str                   # classical | griffiths | explicit
     multipliers: list                 # multiplier coordinate names, declaration order
 
 
@@ -67,8 +66,7 @@ def _lift(form: Form, chart: Chart) -> Form:
     return Form(chart, form.degree, dict(form.terms))
 
 
-def build_lepage_griffiths(vp: VariationalProblem, multiplier_shapes: Sequence,
-                           provenance: str = "griffiths") -> LepageSpace:
+def build_lepage_griffiths(vp: VariationalProblem, multiplier_shapes: Sequence) -> LepageSpace:
     """Theta = lambda + sum_s mu_s /\\ beta_s with multiplier coordinates as
     the coefficients of each mu_s over its declared horizontal basis.
 
@@ -106,8 +104,7 @@ def build_lepage_griffiths(vp: VariationalProblem, multiplier_shapes: Sequence,
         for mult_name, basis in shapes[name]:
             mu = _lift(basis, chart).scale(Scalar.var(mult_name))
             theta = theta + mu.wedge(beta)
-    return LepageSpace(chart=chart, theta=theta, omega=theta.d(),
-                       provenance=provenance, multipliers=new_names)
+    return LepageSpace(chart=chart, theta=theta, omega=theta.d(), multipliers=new_names)
 
 
 def contact_forms(chart: Chart) -> list:
@@ -153,14 +150,13 @@ def build_lepage_classical(vp: VariationalProblem,
                  for pn, x in zip(names, chart.independent)]
         shapes.append((name, basis))
     vp2 = VariationalProblem(chart=chart, lagrangian=vp.lagrangian, generators=gens)
-    return build_lepage_griffiths(vp2, shapes, provenance="classical")
+    return build_lepage_griffiths(vp2, shapes)
 
 
 def build_lepage_explicit(chart: Chart, theta: Form) -> LepageSpace:
     if theta.degree != chart.m:
         raise DegreeMismatch("an explicit Theta must have degree m")
-    return LepageSpace(chart=chart, theta=theta, omega=theta.d(),
-                       provenance="explicit", multipliers=[])
+    return LepageSpace(chart=chart, theta=theta, omega=theta.d(), multipliers=[])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .scalars import (Chart, Dependent, LinearSolveResult, ROLE_GRASSMANN, Scalar,
-                      SeedStream, ZERO, ONE, generic_ranks, p_div_exact,
+                      SeedStream, ZERO, ONE, add_into, generic_ranks, p_div_exact,
                       solve_linear, solve_rows)
 from .exterior import CoframeExpansion, Form, Substitution, identity_substitution
 
@@ -65,11 +65,7 @@ class PfaffianSystem:
 
 
 def _dedupe(scalars: Sequence[Scalar]) -> list:
-    out: list = []
-    for s in scalars:
-        if not s.is_zero() and all(s != t for t in out):
-            out.append(s)
-    return out
+    return list(dict.fromkeys(s for s in scalars if not s.is_zero()))
 
 
 def prune_constraints(scalars: Sequence[Scalar]) -> list:
@@ -119,19 +115,15 @@ def reduce_generators(chart: Chart, forms: Sequence[Form]):
         row = {idx[0]: c for idx, c in form.terms.items()}
         for krow, kp in zip(kept_rows, pivots):
             c = row.get(kp)
-            if c is None or c.is_zero():
+            if c is None:
                 continue
             for n, v in krow.items():
-                s = row.get(n, ZERO) - c * v
-                if s.is_zero():
-                    row.pop(n, None)
-                else:
-                    row[n] = s
-        live = [(n, row[n]) for n in fiber if n in row and not row[n].is_zero()]
+                add_into(row, n, -(c * v))
+        live = [(n, row[n]) for n in fiber if n in row]
         if not live:
             for n in chart.independent:
                 c = row.get(n)
-                if c is not None and not c.is_zero():
+                if c is not None:
                     zero_forms.append(c.constraint_normal())
             continue
         live.sort(key=lambda nc: (0 if nc[1].as_constant() is not None else 1,
@@ -139,20 +131,14 @@ def reduce_generators(chart: Chart, forms: Sequence[Form]):
         pname, pc = live[0]
         if pc.as_constant() is None:
             assumptions.append(pc.constraint_normal())
-        row = {n: v / pc for n, v in row.items() if not (v / pc).is_zero()}
+        row = {n: v / pc for n, v in row.items()}
         # keep earlier rows clean at the new pivot column
-        for k, krow in enumerate(kept_rows):
+        for krow in kept_rows:
             c = krow.get(pname)
-            if c is None or c.is_zero():
+            if c is None:
                 continue
-            nr = dict(krow)
             for n, v in row.items():
-                s = nr.get(n, ZERO) - c * v
-                if s.is_zero():
-                    nr.pop(n, None)
-                else:
-                    nr[n] = s
-            kept_rows[k] = nr
+                add_into(krow, n, -(c * v))
         kept_rows.append(row)
         pivots.append(pname)
     gens = [Form(chart, 1, {(n,): c for n, c in row.items()}) for row in kept_rows]
@@ -214,20 +200,18 @@ def structure_equations(sys: PfaffianSystem,
     torsion: dict = {}
     for a, g in enumerate(sys.generators):
         two = exp.expand_two_form(g.d())
+        # labels run theta, omega, pi and keys satisfy ra < rb, so a pair
+        # is (th, *), (om, om), (om, pi) or (pi, pi)
         for (ra, rb), c in two.items():
             la, lb = exp.labels[ra], exp.labels[rb]
-            if la[0] == "th" or lb[0] == "th":
+            if la[0] == "th":
                 continue
-            if la[0] == "om" and lb[0] == "om":
+            if lb[0] == "om":
                 torsion[(a, la[1], lb[1])] = c
-            elif la[0] == "om" and lb[0] == "pi":
+            elif la[0] == "om":
                 tableau[(a, lb[1], la[1])] = -c
-            elif la[0] == "pi" and lb[0] == "om":
-                tableau[(a, la[1], lb[1])] = c
             else:
-                if not c.is_zero():
-                    raise NotLinearPfaffian(
-                        f"pi/\\pi term with coefficient {c} in d(theta_{a})")
+                raise NotLinearPfaffian(f"pi/\\pi term with coefficient {c} in d(theta_{a})")
     rows, unknowns, slopes = _absorption_system(sys, names, tableau, torsion)
     return StructureEquations(system=sys, tableau=tableau, torsion_raw=torsion,
                               complement=list(names),
@@ -319,7 +303,7 @@ def cartan_characters(se: StructureEquations, seed: int,
     """
     sys = se.system
     m, t, s0 = sys.m, se.t, se.s0
-    entries = [(a, e, i, v) for (a, e, i), v in se.tableau.items() if not v.is_zero()]
+    entries = [(a, e, i, v) for (a, e, i), v in se.tableau.items()]
     names = set()
     for *_, v in entries:
         names |= v.variables()
@@ -454,12 +438,11 @@ def prolong(se: StructureEquations):
     return out, [d.name for d in new_deps]
 
 
-def restrict(sys: PfaffianSystem, constraints: Sequence[Scalar],
-             elimination_order: Optional[Sequence[str]] = None):
+def restrict(sys: PfaffianSystem, constraints: Sequence[Scalar]):
     """Cut the zero locus of affine-linear constraints out of the system.
 
-    Solves for coordinates along the given elimination order (default:
-    highest prolongation level first, multipliers before jets before fields),
+    Solves for coordinates along the chart's elimination order (highest
+    prolongation level first, multipliers before jets before fields),
     pulls everything back through the substitution, demotes degenerated
     generators to zero-forms, and records pivot genericity assumptions.
     """
@@ -470,8 +453,7 @@ def restrict(sys: PfaffianSystem, constraints: Sequence[Scalar],
         k = c.as_constant()
         if k is not None and k != 0:
             raise EmptyLocus(f"constraint {c} is a nonzero constant")
-    order = list(elimination_order) if elimination_order else sys.chart.solve_order()
-    res = solve_linear(cons, order)
+    res = solve_linear(cons, sys.chart.solve_order())
     leftover = []
     for r in res.residual:
         k = r.as_constant()

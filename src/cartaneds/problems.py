@@ -16,6 +16,7 @@ See docs/problem-format.md and docs/problem-grammar.ebnf for the format.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -132,11 +133,8 @@ def metric_volume_scale(metric) -> Fraction:
 
 
 def _isqrt_exact(n: int):
-    r = int(n ** 0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == n:
-            return c
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 class ExprParser:
@@ -412,13 +410,14 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
 
     params: dict = {}
     metric = None
+    metric_line, metric_size = None, 0
     for ln, key, value in sections["params"]:
         if key == "metric":
             m = re.fullmatch(r"diag\s*\(([^)]*)\)", value)
             if not m:
                 raise ParseError("metric must look like diag(a,b,...)", ln)
             entries = [_parse_rational(s, ln) for s in m.group(1).split(",")]
-            metric = {}
+            metric, metric_line, metric_size = {}, ln, len(entries)
             for i, a in enumerate(entries, start=1):
                 for j in range(1, len(entries) + 1):
                     metric[(i, j)] = a if i == j else Fraction(0)
@@ -464,6 +463,9 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
             raise ParseError(f"unknown chart key {key!r}", ln)
     if not independent:
         raise ParseError("at least one independent coordinate is required")
+    if metric is not None and metric_size != len(independent):
+        raise ParseError(f"metric has {metric_size} diagonal entries for "
+                         f"{len(independent)} independent coordinates", metric_line)
     for ln, fieldname, jets in jet_lines:
         if fieldname not in {d.name for d in dependents}:
             raise ParseError(f"jet line references unknown field {fieldname!r}", ln)

@@ -9,6 +9,11 @@ A polynomial is a dict mapping monomials to nonzero ``Fraction`` coefficients;
 a monomial is a sorted tuple of ``(name, exponent)`` pairs.  The monomial
 order is graded lexicographic over name-sorted variables, which is chart
 independent and deterministic.
+
+Sparse rows of scalars (form terms, coframe expansions, the rows of a
+linear solve) never hold an explicit zero.  Every accumulation goes through
+add_into, which drops a key whose sum cancels, so code reading such a row
+never re-tests its entries for zero.
 """
 
 from __future__ import annotations
@@ -651,6 +656,15 @@ ZERO = Scalar.const(0)
 ONE = Scalar.const(1)
 
 
+def add_into(row: dict, key, value: Scalar) -> None:
+    """row[key] += value on a zero-free sparse row, dropping the key at zero."""
+    s = row.get(key, ZERO) + value
+    if s.is_zero():
+        row.pop(key, None)
+    else:
+        row[key] = s
+
+
 def _p_subst(p: Poly, bindings: Mapping[str, Scalar]) -> Scalar:
     total = Scalar.const(0)
     for m, c in p.items():
@@ -824,10 +838,10 @@ def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveRes
     A row is (coefficients, constant) for the equation
     sum(coefficients[u] * u) + constant = 0, with coefficients mapping
     unknowns to nonzero scalars free of the unknowns; the coefficient dicts
-    are consumed.  Pivots follow the given unknown order (earlier unknowns
-    are eliminated first); among candidate rows for an unknown, constant
-    pivot coefficients are preferred, then sparser ones.  A pivot that
-    vanishes identically is skipped; a nonconstant pivot is recorded as a
+    are consumed, updated in place through add_into, and so stay zero-free.
+    Pivots follow the given unknown order (earlier unknowns are eliminated
+    first); among candidate rows for an unknown, constant pivot coefficients
+    are preferred, then sparser ones.  A nonconstant pivot is recorded as a
     genericity assumption.
     """
     rows = list(rows)
@@ -838,7 +852,7 @@ def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveRes
         best = None
         for idx, (coeffs, _) in enumerate(rows):
             c = coeffs.get(u)
-            if c is None or c.is_zero():
+            if c is None:
                 continue
             rank = (0 if c.as_constant() is not None else 1, len(c.num), idx)
             if best is None or rank < best[0]:
@@ -850,20 +864,16 @@ def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveRes
         pivot = coeffs.pop(u)
         if pivot.as_constant() is None:
             assumptions.append(pivot.constraint_normal())
-        rhs = {v: -(c / pivot) for v, c in coeffs.items() if not c.is_zero()}
+        rhs = {v: -(c / pivot) for v, c in coeffs.items()}
         rhs_const = -(const / pivot)
         solved[u] = (rhs, rhs_const)
         order.append(u)
-        new_rows = []
-        for oc, ocst in rows:
+        for k, (oc, ocst) in enumerate(rows):
             fac = oc.pop(u, None)
-            if fac is not None and not fac.is_zero():
+            if fac is not None:
                 for v, c in rhs.items():
-                    oc[v] = oc.get(v, ZERO) + fac * c
-                ocst = ocst + fac * rhs_const
-            oc = {v: c for v, c in oc.items() if not c.is_zero()}
-            new_rows.append((oc, ocst))
-        rows = new_rows
+                    add_into(oc, v, fac * c)
+                rows[k] = (oc, ocst + fac * rhs_const)
     # back-substitute so right-hand sides are free of every solved unknown
     resolved: dict = {}
     for u in reversed(order):
@@ -877,10 +887,9 @@ def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveRes
         resolved[u] = expr
     residual = []
     for coeffs, const in rows:
-        live = {v: c for v, c in coeffs.items() if not c.is_zero()}
-        if live:  # unreachable for a consistent elimination, kept as a guard
+        if coeffs:  # unreachable for a consistent elimination, kept as a guard
             expr = const
-            for v, c in live.items():
+            for v, c in coeffs.items():
                 expr = expr + c * Scalar.var(v)
             residual.append(expr)
         elif not const.is_zero():

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from cartaneds import pfaffian
+from cartaneds import cli, pfaffian
 from cartaneds.cli import fixture_text, main
 from cartaneds.exterior import CoframeDegenerate
 from cartaneds.pfaffian import NotLinearPfaffian
@@ -79,6 +79,28 @@ def test_internal_error_exit_70(capsys, monkeypatch, err):
     assert code == 70
     assert out == ""
     assert errout.startswith("error: ") and errout.count("\n") == 1
+
+
+@pytest.mark.parametrize("metric, size", [("diag(-1,1,1)", 3), ("diag(-1,1,1,1,1)", 5)])
+def test_metric_size_mismatch_exit_65(tmp_path, capsys, metric, size):
+    # a short metric used to crash with a KeyError traceback (exit 1, the
+    # empty-locus code); a long one silently rescaled eta
+    bad = tmp_path / "maxwell.prob"
+    bad.write_text(fixture_text("maxwell").replace("diag(-1,1,1,1)", metric))
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 65
+    assert out == ""
+    assert f"metric has {size} diagonal entries for 4 independent" in err
+
+
+def test_unexpected_exception_exit_70(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise KeyError((1, 4))
+    monkeypatch.setattr(cli, "analyze", fail)
+    code, out, err = run_cli(capsys, "analyze", str(FIXDIR / "integrability.prob"))
+    assert code == 70
+    assert out == ""
+    assert err == "error: KeyError: (1, 4)\n"
 
 
 def test_budget_exceeded_exit_three(capsys):

@@ -182,6 +182,18 @@ def test_pullback_commutes_with_d(a):
     assert (sub.form(a.d()) - sub.form(a).d()).is_zero()
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_form(max_degree=2), small_form(max_degree=2))
+def test_form_terms_hold_no_zero_coefficient(a, b):
+    X = {"x": Scalar.const(1), "u": Scalar.var("y")}
+    results = [a.wedge(b), a.d(), b.d()]
+    results += [f.contract(X) for f in (a, b) if f.degree >= 1]
+    if a.degree == b.degree:
+        results += [a + b, a - b]
+    for f in results:
+        assert all(not c.is_zero() for c in f.terms.values())
+
+
 # ---------------------------------------------------------------------------
 # coframe coefficients
 # ---------------------------------------------------------------------------
@@ -285,8 +297,11 @@ def test_back_substitution_inverts_triangular_coframes(coframe, two_terms):
     a = Form(CH, 2, {})
     for names, c in two_terms:
         a = a + D(names[0]).wedge(D(names[1])).scale(c)
+    expanded = exp.expand_two_form(a)
+    assert all(not c.is_zero() for n in CH.names for _, c in exp.coords[n])
+    assert all(not c.is_zero() for c in expanded.values())
     back = Form(CH, 2, {})
-    for (i, j), c in exp.expand_two_form(a).items():
+    for (i, j), c in expanded.items():
         back = back + exp.forms[i].wedge(exp.forms[j]).scale(c)
     assert (back - a).is_zero()
 

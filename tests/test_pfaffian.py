@@ -326,6 +326,20 @@ def test_nonlinear_pfaffian_rejected():
         structure_equations(sys)
 
 
+def test_reduction_divides_each_entry_once(monkeypatch):
+    # 2du + 4dv + 6dx is normalized at the pivot u by one division per entry
+    ch = Chart(["x"], [Dependent("u"), Dependent("v")])
+    form = Form(ch, 1, {("u",): 2, ("v",): 4, ("x",): 6})
+    calls = []
+    div = scalars.Scalar.__truediv__
+    monkeypatch.setattr(scalars.Scalar, "__truediv__",
+                        lambda self, other: calls.append(1) or div(self, other))
+    sys = make_system(ch, [form])
+    assert len(calls) == 3
+    assert sys.pivots == ["u"]
+    assert sys.generators[0] == Form(ch, 1, {("u",): 1, ("v",): 2, ("x",): 3})
+
+
 def test_prune_constraints_drops_multiples():
     y, c = V("y"), V("w") + 1
     got = prune_constraints([c, y * c, c])

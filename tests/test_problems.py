@@ -139,6 +139,25 @@ mode = explicit
         parse_problem(bad)
 
 
+@pytest.mark.parametrize("entry, root", [((10 ** 30 + 1) ** 2, 10 ** 30 + 1),
+                                         (10 ** 400, 10 ** 200)],
+                         ids=["beyond-float-precision", "beyond-float-range"])
+def test_metric_square_root_is_exact(entry, root):
+    text = f"""name = b
+[chart]
+independent = x y
+field = u
+[forms]
+lagrangian = u
+[params]
+metric = diag({entry},1)
+[lepage]
+mode = explicit
+"""
+    doc = parse_problem(text)
+    assert doc.lagrangian.terms[("x", "y")] == Scalar.const(root) * Scalar.var("u")
+
+
 def test_sum_requires_declared_range():
     text = """name = s
 [chart]

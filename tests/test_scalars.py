@@ -9,8 +9,8 @@ from cartaneds import scalars
 from cartaneds.scalars import (_PRIMES, SAMPLES, AllSamplesDegenerate, Chart,
                                Dependent, DomainError, NonLinearInUnknowns, Scalar,
                                ONE, ZERO, SeedStream, generic_ranks, p_add, p_gcd,
-                               p_leading, p_mul, p_sub, rank_fractions,
-                               random_rank, solve_linear)
+                               _linear_split, add_into, p_leading, p_mul, p_sub,
+                               rank_fractions, random_rank, solve_linear, solve_rows)
 
 
 def V(name):
@@ -305,9 +305,12 @@ def _span_contains(base, extra):
     return exact_rank(rows) == exact_rank(rows + [row])
 
 
+affine_rows = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                                small_scalar(("x", "y"))), min_size=1, max_size=4)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), small_scalar(("x", "y"))),
-                min_size=1, max_size=4))
+@given(affine_rows)
 def test_solve_linear_back_substitution(rows):
     # equations with rational coefficients on the unknowns and arbitrary
     # scalar inhomogeneities: substituting `solved` back must land every
@@ -321,6 +324,32 @@ def test_solve_linear_back_substitution(rows):
             assert r.is_zero()
         elif not r.is_zero():
             assert _span_contains(res.residual, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(affine_rows)
+def test_solve_rows_leaves_no_zero_coefficient(rows):
+    # the coefficient dicts are updated in place; an entry whose sum cancels
+    # is removed, not kept as an explicit zero
+    u, v = V("u"), V("v")
+    split = [_linear_split(C(a) * u + C(b) * v + s, ["u", "v"]) for a, b, s in rows]
+    coeffs = [c for c, _ in split]
+    res = solve_rows(split, ["u", "v"])
+    assert all(not c.is_zero() for row in coeffs for c in row.values())
+    assert all(not r.is_zero() for r in res.residual)
+
+
+def test_add_into_inserts_accumulates_and_drops_cancelled_keys():
+    row = {}
+    add_into(row, "u", C(2))
+    assert row == {"u": C(2)}
+    add_into(row, "u", V("x"))
+    add_into(row, "v", C(1))
+    assert row == {"u": V("x") + 2, "v": C(1)}
+    add_into(row, "u", -V("x") - 2)
+    assert row == {"v": C(1)}
+    add_into(row, "w", ZERO)
+    assert row == {"v": C(1)}
 
 
 # ---------------------------------------------------------------------------
