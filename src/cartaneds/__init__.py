@@ -8,7 +8,7 @@ involutivity test and prolongation until an involutive system is reached.
 
 from .scalars import (Chart, Dependent, LinearSolveResult, NonLinearInUnknowns,
                       Scalar, solve_linear, random_rank)
-from .exterior import Form, MultiVector, Substitution, volume_form
+from .exterior import Form, Substitution, volume_form
 from .pfaffian import (CharacterVector, EmptyLocus, InvolutivityReport,
                        PfaffianSystem, StructureEquations, cartan_characters,
                        cartan_test, essential_torsion, make_system, prolong,
@@ -21,6 +21,6 @@ from .hamilton import (DegreeMismatch, HamiltonLocus, LepageSpace,
 from .ladder import (ConstraintLadder, LadderStep, NeedsUserBranch,
                      classify_constraint, run, run_system)
 from .problems import ParseError, ProblemDocument, parse_problem
-from .report import ReportDocument, analyze, emit, parse_report
+from .report import ReportDocument, analyze, emit
 
 __version__ = "0.1.0"

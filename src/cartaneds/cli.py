@@ -9,8 +9,9 @@ Exit codes: 0 involutive, 1 empty locus, 2 needs-user-branch,
 3 budget exceeded, 64 usage (including a budget below 1),
 65 parse/validation error, 70 internal error (degenerate rank sampling or
 coframe, a nonlinear Pfaffian, a violated Cartan inequality, a colliding
-prolongation coordinate name, or any other unexpected exception).  Exits 65
-and 70 print one `error:` line.
+prolongation coordinate name, or any other unexpected exception), 73 the
+--out file cannot be created (its directory is checked before the analysis
+runs).  Exits 65, 70 and 73 print one `error:` line.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_FOR_VERDICT = {
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_SOFTWARE = 70
+EXIT_CANTCREAT = 73
 
 FIXTURE_NAMES = sorted(f.name.removesuffix(".prob")
                        for f in resources.files("cartaneds").joinpath("fixtures").iterdir()
@@ -70,8 +72,16 @@ def _parse_params(pairs):
     return out
 
 
+def _cannot_create(path: Path, reason) -> int:
+    print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+    return EXIT_CANTCREAT
+
+
 def cmd_analyze(args) -> int:
     overrides = _parse_params(args.param)
+    out = Path(args.out) if args.out else None
+    if out is not None and not out.parent.is_dir():
+        return _cannot_create(out, f"no directory {out.parent}")
     texts = []
     for f in args.files:
         path = Path(f)
@@ -83,11 +93,14 @@ def cmd_analyze(args) -> int:
                        max_prolongations=args.max_prolong, max_steps=args.max_steps)
                for text in texts]
     payload = b"".join(emit(rep, args.format) for rep in reports)
-    if args.out:
-        Path(args.out).write_bytes(payload)
-    else:
+    if out is None:
         sys.stdout.buffer.write(payload)
         sys.stdout.flush()
+    else:
+        try:
+            out.write_bytes(payload)
+        except OSError as err:
+            return _cannot_create(out, err.strerror or err)
     return max(EXIT_FOR_VERDICT.get(rep.verdict, 3) for rep in reports)
 
 

@@ -1,10 +1,10 @@
-"""Graded exterior algebra of differential forms and multivectors on a chart.
+"""Graded exterior algebra of differential forms on a chart.
 
 Forms are sparse: a degree-k form maps strictly increasing coordinate index
 tuples (in chart order) to scalars, with the canonical sign absorbed into the
-coefficient.  Multivectors are kept decomposable as an ordered factor list;
-the contraction convention is that the innermost (last) factor is contracted
-first, and every consumer of multivector contractions uses that convention.
+coefficient.  Interior products are taken one vector at a time
+(Form.contract); a multivector Z_1 /\\ ... /\\ Z_k acts by successive
+contractions, Z_1 first.
 """
 
 from __future__ import annotations
@@ -170,32 +170,6 @@ class Form:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
-
-
-class MultiVector:
-    """A decomposable multivector Z_1 /\\ ... /\\ Z_k stored as its factor list."""
-
-    def __init__(self, chart: Chart, factors: Sequence[Mapping[str, Scalar]]):
-        self.chart = chart
-        self.factors = [dict(f) for f in factors]
-
-    @property
-    def degree(self) -> int:
-        return len(self.factors)
-
-    def contract(self, form: Form) -> Form:
-        """Iterated interior product Z_k .| ( ... (Z_1 .| form)).
-
-        The first factor is the innermost contraction; with Z = d/dx /\\ d/dy
-        this gives (dx/\\dy/\\dz) |-> dz.  All consumers rely on this one
-        convention (a global sign never changes a zero locus).
-        """
-        if form.degree < self.degree:
-            raise ValueError("form degree below multivector degree")
-        out = form
-        for vec in self.factors:
-            out = out.contract(vec)
-        return out
 
 
 # ---------------------------------------------------------------------------

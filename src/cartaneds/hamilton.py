@@ -3,9 +3,13 @@
 Builds the Lepage-equivalent space (W, Theta) by adjoining multiplier
 coordinates to the problem's chart, extends to the Grassmann bundle with
 independence-adapted fiber coordinates Z^A_i, derives the equations
-Z .| dTheta = 0 for the decomposable multivector Z = /\\_i (d/dx^i + Z^A_i
-d/du^A), solves them for the Hamilton submanifold, and induces the linear
-Pfaffian of pulled-back contact forms on it.
+Z .| dTheta = 0 for the decomposable Z = /\\_i (d/dx^i + Z^A_i d/du^A),
+solves them for the Hamilton submanifold, and induces the linear Pfaffian of
+pulled-back contact forms on it.  Only the du^A components sigma_A of
+sigma = Z .| dTheta are solved: its dx^i component is -sum_A Z^A_i sigma_A.
+The sigma_A are affine-linear in Z when Theta has vertical degree at most 1,
+which the classical and Griffiths builds guarantee; an explicit Theta may
+not.
 """
 
 from __future__ import annotations
@@ -16,10 +20,8 @@ from typing import Mapping, Sequence
 from .scalars import (Chart, Dependent, NonLinearInUnknowns, ROLE_FIELD,
                       ROLE_GRASSMANN, ROLE_JET, ROLE_MULTIPLIER, Scalar, ONE,
                       _linear_split, solve_linear, solve_rows)
-from .exterior import (Form, MultiVector, Substitution, vertical_degree,
-                       volume_contraction)
-from .pfaffian import (EmptyLocus, PfaffianSystem, _dedupe, make_system,
-                       peel_assumed_factor)
+from .exterior import Form, Substitution, vertical_degree, volume_contraction
+from .pfaffian import EmptyLocus, PfaffianSystem, _dedupe, make_system
 
 
 class MissingJetStructure(ValueError):
@@ -179,41 +181,46 @@ def grassmann_extend(ls: LepageSpace) -> Chart:
     return ls.chart.extend(new)
 
 
-def hamilton_multivector(ls: LepageSpace, gchart: Chart) -> MultiVector:
-    factors = []
+def _hamilton_form(ls: LepageSpace, gchart: Chart) -> Form:
+    """sigma = Z .| dTheta for Z = Z_1 /\\ ... /\\ Z_m, Z_1 contracted first.
+
+    Z_i = d/dx^i + Z^A_i d/du^A; with Z = d/dx /\\ d/dy the contraction
+    takes dx/\\dy/\\dz to dz (a global sign never changes a zero locus).
+    """
+    sigma = _lift(ls.omega, gchart)
     for x in ls.chart.independent:
         vec = {x: ONE}
         for d in ls.chart.dependent:
             vec[d.name] = Scalar.var(grassmann_name(d.name, x))
-        factors.append(vec)
-    return MultiVector(gchart, factors)
+        sigma = sigma.contract(vec)
+    return sigma
 
 
 def hamilton_equations(ls: LepageSpace, gchart: Chart) -> list:
-    """All coframe coefficients of Z .| dTheta as scalars on the Grassmann chart.
+    """The du^A coefficients of Z .| dTheta, in chart order, as scalars on
+    the Grassmann chart.
 
-    The du^A coefficients are affine-linear in the Z fiber coordinates; the
-    dx^i coefficients equal -Z^A_i times the former (sigma(Z_i) = 0), hence
-    are polynomial consequences of them.
+    Since sigma = Z .| dTheta satisfies sigma(Z_i) = 0, its dx^i coefficient
+    is -sum_A Z^A_i sigma_A and adds nothing to these.  They are
+    affine-linear in the Z fiber coordinates when Theta has vertical degree
+    at most 1, which the classical and Griffiths builds guarantee; an
+    explicit Theta may not.
     """
-    omega = _lift(ls.omega, gchart)
-    sigma = hamilton_multivector(ls, gchart).contract(omega)
-    eqs = []
-    for idx in sorted(sigma.terms, key=lambda i: gchart.position(i[0])):
-        eqs.append(sigma.terms[idx])
-    return eqs
+    terms = _hamilton_form(ls, gchart).terms
+    return [terms[(d.name,)] for d in ls.chart.dependent if (d.name,) in terms]
 
 
 def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,
                          eqs: Sequence[Scalar]) -> HamiltonLocus:
     """Cut the Hamilton submanifold out of the Grassmann bundle.
 
-    Z-free equations are solved first (multipliers before jets before fields)
-    and substituted through; this repeats to a fixpoint, so equations whose
-    coefficients vanish on the base locus drop out before the fiber solve.
-    Residual equations quadratic in the Z coordinates must vanish on the
-    locus (they are the independence-direction coefficients); a nonvanishing
-    one is surfaced as NonLinearInUnknowns.
+    Each pass solves either every Z-free equation over the base coordinates
+    (multipliers before jets before fields), or, when none is Z-free, the
+    equations affine-linear in the Z coordinates; the new bindings are then
+    substituted through, so equations whose coefficients vanish on the base
+    locus drop out before the fiber solve.  Every recorded assumption is a
+    Z-free pivot, so an equation linear in neither sense stays so and is
+    surfaced as NonLinearInUnknowns.
     """
     znames = [d.name for d in gchart.dependent if d.level >= 1]
     zset = set(znames)
@@ -222,64 +229,31 @@ def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,
     base_constraints: list = []
     assumptions: list = []
     pending = [e for e in eqs if not e.is_zero()]
-
-    def merge(new_solved: dict, new_assumptions: list):
-        nonlocal bindings
-        if new_assumptions:
-            assumptions.extend(new_assumptions)
-        if not new_solved:
-            return
-        bindings = {k: v.substitute(new_solved) for k, v in bindings.items()}
-        bindings.update(new_solved)
-
-    def residual_guard(res):
-        for r in res:
-            k = r.as_constant()
-            if k is not None and k != 0:
-                raise EmptyLocus("Hamilton equations are inconsistent")
-
-    progress = True
-    while progress:
-        progress = False
-        pending = [e2 for e2 in (e.substitute(bindings) for e in pending)
-                   if not e2.is_zero()]
+    while pending:
         zfree = [e for e in pending if not (e.variables() & zset)]
         if zfree:
-            live = [n for n in base_names if n not in bindings]
-            res = solve_linear(zfree, live)
-            residual_guard(res.residual)
-            if any(r.as_constant() is None for r in res.residual):
-                raise EmptyLocus("base constraints restrict the independent coordinates")
+            res = solve_linear(zfree, [n for n in base_names if n not in bindings])
+            if res.residual:
+                raise EmptyLocus("Hamilton equations are inconsistent on the base")
             base_constraints.extend(c.constraint_normal() for c in zfree)
-            merge(res.solved, res.assumptions)
-            pending = [e for e in pending if e not in zfree]
-            progress = True
-            continue
-        live = [n for n in znames if n not in bindings]
-        rows, nonlinear = [], []
-        for e in pending:
-            try:
-                rows.append(_linear_split(e, live))
-            except NonLinearInUnknowns:
-                nonlinear.append(e)
-        if rows:
-            res = solve_rows(rows, live)
-            residual_guard(res.residual)
-            merge(res.solved, res.assumptions)
-            pending = nonlinear + [r for r in res.residual if not r.is_zero()]
-            progress = True
-            continue
-        if pending:
-            # quadratic leftovers: try to peel an already-assumed nonzero factor
-            still = []
+            pending = [e for e in pending if e.variables() & zset]
+        else:
+            live = [n for n in znames if n not in bindings]
+            rows, nonlinear = [], []
             for e in pending:
-                peeled = peel_assumed_factor(e, assumptions)
-                if peeled is None:
-                    raise NonLinearInUnknowns(e)
-                if not peeled.is_zero():
-                    still.append(peeled)
-                progress = True
-            pending = still
+                try:
+                    rows.append(_linear_split(e, live))
+                except NonLinearInUnknowns:
+                    nonlinear.append(e)
+            if not rows:
+                raise NonLinearInUnknowns(nonlinear[0])
+            res = solve_rows(rows, live)
+            pending = nonlinear + res.residual
+        assumptions.extend(res.assumptions)
+        bindings = {k: v.substitute(res.solved) for k, v in bindings.items()}
+        bindings.update(res.solved)
+        pending = [e2 for e2 in (e.substitute(res.solved) for e in pending)
+                   if not e2.is_zero()]
 
     new_chart = gchart.drop(bindings.keys())
     subst = Substitution(new_chart, bindings)
@@ -298,8 +272,5 @@ def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,
 
 def residual_check(hl: HamiltonLocus, ls: LepageSpace) -> bool:
     """True iff Z .| dTheta vanishes identically on the solved locus."""
-    eqs = hamilton_equations(ls, hl.grassmann_chart)
-    for e in eqs:
-        if not hl.solved.scalar(e).is_zero():
-            return False
-    return True
+    sigma = _hamilton_form(ls, hl.grassmann_chart)
+    return all(hl.solved.scalar(e).is_zero() for e in sigma.terms.values())

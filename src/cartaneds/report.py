@@ -150,7 +150,3 @@ def emit(report: ReportDocument, format: str = "text") -> bytes:
             out.append(f"  {g}")
     return ("\n".join(out) + "\n").encode()
 
-
-def parse_report(data: bytes) -> dict:
-    """Parse a structured report back to plain data (round-trip check)."""
-    return json.loads(data.decode())

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd as _int_gcd
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -65,21 +64,16 @@ def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def _mono_cmp(a: Monomial, b: Monomial) -> int:
-    # graded lex, priority to name-ascending variables; a proper
-    # (multiplicative) monomial order, unlike raw pair-tuple comparison
-    da, db = _mono_degree(a), _mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    ia, ib = dict(a), dict(b)
-    for n in sorted(set(ia) | set(ib)):
-        ea, eb = ia.get(n, 0), ib.get(n, 0)
-        if ea != eb:
-            return 1 if ea > eb else -1
-    return 0
+def _mono_key(m: Monomial) -> tuple:
+    """Sort key of the graded lex order: the leading monomial sorts first.
 
-
-_mono_key = cmp_to_key(_mono_cmp)
+    Higher degree comes first; within a degree, the larger exponent at the
+    first name (ascending) where two monomials differ.  At the first pair
+    where their (name, -exponent) tuples differ, either the names agree and
+    the larger exponent sorts first, or the earlier name is present in one
+    monomial only, which therefore sorts first.
+    """
+    return (-_mono_degree(m), tuple((name, -e) for name, e in m))
 
 
 def p_const(c) -> Poly:
@@ -194,7 +188,7 @@ def p_degree(a: Poly) -> int:
 
 
 def p_leading(a: Poly):
-    m = max(a, key=_mono_key)
+    m = min(a, key=_mono_key)
     return m, a[m]
 
 
@@ -391,7 +385,7 @@ def p_str(a: Poly) -> str:
     if not a:
         return "0"
     parts = []
-    for m in sorted(a, key=_mono_key, reverse=True):
+    for m in sorted(a, key=_mono_key):
         c = a[m]
         factors = []
         for name, e in m:
@@ -436,11 +430,6 @@ class Scalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, _canonical=False):
-        if isinstance(num, Scalar):
-            if den is not None:
-                raise TypeError("Scalar(num) takes no denominator for Scalar input")
-            self.num, self.den = num.num, num.den
-            return
         if not isinstance(num, dict):
             num = p_const(num)
         if den is None:

@@ -9,7 +9,7 @@ from cartaneds.cli import fixture_text, main
 from cartaneds.exterior import CoframeDegenerate
 from cartaneds.pfaffian import NotLinearPfaffian
 from cartaneds.problems import parse_problem
-from cartaneds.report import analyze, emit, parse_report
+from cartaneds.report import analyze, emit
 from cartaneds.scalars import AllSamplesDegenerate
 
 FIXDIR = Path(__file__).resolve().parent.parent / "src" / "cartaneds" / "fixtures"
@@ -35,6 +35,51 @@ def test_analyze_empty_locus_exit_one(capsys):
     code, out, _ = run_cli(capsys, "analyze", str(FIXDIR / "inconsistent.prob"))
     assert code == 1
     assert "verdict: empty" in out
+
+
+def test_out_into_missing_directory_exit_73(capsys, tmp_path, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("analyze ran before the --out directory was checked")
+    monkeypatch.setattr(cli, "analyze", must_not_run)
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, "analyze", str(FIXDIR / "affine.prob"),
+                             "--out", str(target))
+    assert code == 73
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+def test_out_write_failure_exit_73(capsys, tmp_path):
+    # the directory exists, but the path names a directory, not a file
+    code, out, err = run_cli(capsys, "analyze", str(FIXDIR / "affine.prob"),
+                             "--out", str(tmp_path))
+    assert code == 73
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+NONLINEAR_PROBLEM = """name = nonlinear
+
+[chart]
+independent = x1 x2
+field = y1 y2 y3
+
+[forms]
+theta = y3*d(y1)/\\d(y2)
+
+[lepage]
+mode = explicit
+"""
+
+
+def test_nonlinear_hamilton_equation_exit_2(capsys, tmp_path):
+    path = tmp_path / "nonlinear.prob"
+    path.write_text(NONLINEAR_PROBLEM)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("nonlinear constraint: ") and err.count("\n") == 1
 
 
 def test_vacuous_lepage_exit_65(capsys):
@@ -150,7 +195,7 @@ def test_structured_round_trip_and_schema():
     doc = parse_problem(fixture_text("saunders"))
     rep = analyze(doc)
     data = emit(rep, "structured")
-    payload = parse_report(data)
+    payload = json.loads(data)
     validate(payload, SCHEMA)
     assert payload["steps"] == rep.steps
     assert payload["verdict"] == rep.verdict
@@ -169,7 +214,7 @@ def test_timing_not_emitted():
 def test_empty_ladder_structured_steps():
     doc = parse_problem(fixture_text("inconsistent"))
     rep = analyze(doc)
-    payload = parse_report(emit(rep, "structured"))
+    payload = json.loads(emit(rep, "structured"))
     assert payload["steps"] == []
     assert payload["verdict"] == "empty"
 

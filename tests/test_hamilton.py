@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from cartaneds.scalars import Chart, Dependent, Scalar, ONE, ZERO
+from cartaneds.cli import FIXTURE_NAMES, fixture_text
+from cartaneds.scalars import (Chart, Dependent, NonLinearInUnknowns, Scalar,
+                               ONE, ZERO)
 from cartaneds.exterior import Form, volume_form
 from cartaneds.pfaffian import EmptyLocus
+from cartaneds.problems import parse_problem
 from cartaneds.hamilton import (DegreeMismatch, MissingJetStructure,
-                                VariationalProblem, build_lepage_classical,
-                                build_lepage_explicit, build_lepage_griffiths,
-                                grassmann_extend, hamilton_equations,
+                                VariationalProblem, _hamilton_form,
+                                build_lepage_classical, build_lepage_explicit,
+                                build_lepage_griffiths, grassmann_extend,
+                                grassmann_name, hamilton_equations,
                                 residual_check, solve_hamilton_locus)
 
 
@@ -181,16 +185,60 @@ def test_affine_products_drop_on_base_locus():
         - d("y2").wedge(d("x1")).scale(V("x2") * V("y2"))
     ls = build_lepage_explicit(ch, alpha)
     g = grassmann_extend(ls)
-    eqs = hamilton_equations(ls, g)
-    # the raw equations contain the quadratic products
-    assert any((V("y1") - V("y2")) * (V("Zy1_x1") - V("Zy2_x1")) == e or
-               (V("y1") - V("y2")) * (V("Zy1_x1") - V("Zy2_x1")) == -e for e in eqs)
-    hl = solve_hamilton_locus(ls, g, eqs)
+    # the quadratic product is sigma's dx1 coefficient, which is not solved
+    product = (V("y1") - V("y2")) * (V("Zy1_x1") - V("Zy2_x1"))
+    dx1 = _hamilton_form(ls, g).terms[("x1",)]
+    assert product == dx1 or product == -dx1
+    hl = solve_hamilton_locus(ls, g, hamilton_equations(ls, g))
     assert hl.base_constraints == [V("y1") - V("y2")]
     assert hl.solved.bindings == {"y1": V("y2")}
     assert residual_check(hl, ls)
     assert hl.pfaffian.zero_forms == [V("Zy1_x1") - V("Zy2_x1"),
                                       V("Zy1_x2") - V("Zy2_x2")]
+
+
+def fixture_lepage(name):
+    doc = parse_problem(fixture_text(name))
+    vp = VariationalProblem(chart=doc.chart, lagrangian=doc.lagrangian,
+                            generators=doc.generators)
+    if doc.mode == "classical":
+        return build_lepage_classical(vp, doc.momenta)
+    if doc.mode == "griffiths":
+        return build_lepage_griffiths(vp, doc.multiplier_shapes)
+    return build_lepage_explicit(doc.chart, doc.theta)
+
+
+@pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES if n != "vacuous-lepage"])
+def test_horizontal_components_follow_from_vertical(name):
+    # sigma(Z_i) = 0: each dx^i coefficient is -sum_A Z^A_i sigma_A
+    ls = fixture_lepage(name)
+    g = grassmann_extend(ls)
+    sigma = _hamilton_form(ls, g)
+    for x in ls.chart.independent:
+        want = ZERO
+        for d in ls.chart.dependent:
+            want = want - V(grassmann_name(d.name, x)) * sigma.terms.get((d.name,), ZERO)
+        assert sigma.terms.get((x,), ZERO) == want
+
+
+def test_hamilton_equations_are_the_vertical_components():
+    ls = fixture_lepage("maxwell")
+    g = grassmann_extend(ls)
+    eqs = hamilton_equations(ls, g)
+    assert len(eqs) == 16
+    terms = _hamilton_form(ls, g).terms
+    assert eqs == [terms[(d.name,)] for d in ls.chart.dependent if (d.name,) in terms]
+
+
+def test_equation_quadratic_in_z_raises_nonlinear():
+    # an explicit Theta of vertical degree 2 gives Hamilton equations that
+    # are quadratic in Z and stay so on the base locus
+    ch = Chart(["x1", "x2"], [Dependent(f"y{i}", "field") for i in (1, 2, 3)])
+    d = lambda n: Form.differential(ch, n)
+    ls = build_lepage_explicit(ch, d("y1").wedge(d("y2")).scale(V("y3")))
+    g = grassmann_extend(ls)
+    with pytest.raises(NonLinearInUnknowns):
+        solve_hamilton_locus(ls, g, hamilton_equations(ls, g))
 
 
 def test_integral_sections_solve_equations_of_motion():

@@ -259,6 +259,36 @@ def test_arithmetic_equals_canonicalization_from_scratch(pair):
             assert_canonical(got)
 
 
+def grlex_cmp(a, b):
+    """Reference graded lex comparison of monomials: 1 when a > b, -1 when
+    a < b, 0 when equal; ties in degree go to the larger exponent at the
+    first name (ascending) where the two differ."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return 1 if da > db else -1
+    ea, eb = dict(a), dict(b)
+    for n in sorted(set(ea) | set(eb)):
+        if ea.get(n, 0) != eb.get(n, 0):
+            return 1 if ea.get(n, 0) > eb.get(n, 0) else -1
+    return 0
+
+
+monomials = st.dictionaries(st.sampled_from([f"x{i}" for i in range(8)]),
+                            st.integers(1, 3), max_size=4) \
+    .map(lambda exps: tuple(sorted(exps.items())))
+
+
+@settings(max_examples=500, deadline=None)
+@given(monomials, monomials)
+def test_monomial_key_is_the_grlex_order(a, b):
+    # the leading (grlex-largest) monomial sorts first
+    ka, kb = scalars._mono_key(a), scalars._mono_key(b)
+    assert (ka < kb) - (ka > kb) == grlex_cmp(a, b)
+    if a != b:
+        lead = a if grlex_cmp(a, b) > 0 else b
+        assert p_leading({a: Fraction(1), b: Fraction(2)})[0] == lead
+
+
 def test_trivial_operands_skip_the_gcd(monkeypatch):
     x, y = V("x"), V("y")
     s = (x ** 2 + y) / (3 * x * y + 1)
