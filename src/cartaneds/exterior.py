@@ -318,6 +318,14 @@ def vertical_degree(a: Form) -> int:
     return best
 
 
+def contact_form(chart: Chart, name: str, slopes: Sequence[Scalar]) -> Form:
+    """d(name) - sum_i slopes[i] d(x^i), slopes in the order of chart.independent."""
+    terms = {(name,): ONE}
+    for x, s in zip(chart.independent, slopes):
+        terms[(x,)] = -s
+    return Form(chart, 1, terms)
+
+
 def volume_form(chart: Chart) -> Form:
     return Form(chart, chart.m, {tuple(chart.independent): ONE})
 

@@ -15,12 +15,13 @@ not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .scalars import (Chart, Dependent, NonLinearInUnknowns, ROLE_FIELD,
                       ROLE_GRASSMANN, ROLE_JET, ROLE_MULTIPLIER, Scalar, ONE,
                       _linear_split, solve_linear, solve_rows)
-from .exterior import Form, Substitution, vertical_degree, volume_contraction
+from .exterior import (Form, Substitution, contact_form, vertical_degree,
+                       volume_contraction)
 from .pfaffian import EmptyLocus, PfaffianSystem, _dedupe, make_system
 
 
@@ -124,10 +125,8 @@ def contact_forms(chart: Chart) -> list:
         if missing:
             raise MissingJetStructure(
                 f"field {d.name!r} lacks jet coordinates for {missing}")
-        terms = {(d.name,): ONE}
-        for x in chart.independent:
-            terms[(x,)] = -Scalar.var(js[x])
-        out.append((d.name, Form(chart, 1, terms)))
+        slopes = [Scalar.var(js[x]) for x in chart.independent]
+        out.append((d.name, contact_form(chart, d.name, slopes)))
     return out
 
 
@@ -155,7 +154,9 @@ def build_lepage_classical(vp: VariationalProblem,
     return build_lepage_griffiths(vp2, shapes)
 
 
-def build_lepage_explicit(chart: Chart, theta: Form) -> LepageSpace:
+def build_lepage_explicit(chart: Chart, theta: Optional[Form]) -> LepageSpace:
+    if theta is None:
+        raise DegreeMismatch("mode = explicit requires a theta")
     if theta.degree != chart.m:
         raise DegreeMismatch("an explicit Theta must have degree m")
     return LepageSpace(chart=chart, theta=theta, omega=theta.d(), multipliers=[])
@@ -259,10 +260,8 @@ def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,
     subst = Substitution(new_chart, bindings)
     thetas = []
     for d in ls.chart.dependent:
-        terms = {(d.name,): ONE}
-        for x in ls.chart.independent:
-            terms[(x,)] = -Scalar.var(grassmann_name(d.name, x))
-        thetas.append(subst.form(Form(gchart, 1, terms)))
+        slopes = [Scalar.var(grassmann_name(d.name, x)) for x in gchart.independent]
+        thetas.append(subst.form(contact_form(gchart, d.name, slopes)))
     system = make_system(new_chart, thetas, assumptions=assumptions)
     return HamiltonLocus(grassmann_chart=gchart, solved=subst,
                          base_constraints=_dedupe(base_constraints),

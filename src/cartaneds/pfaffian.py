@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .scalars import (Chart, Dependent, LinearSolveResult, ROLE_GRASSMANN, Scalar,
-                      SeedStream, ZERO, ONE, add_into, generic_ranks, p_div_exact,
+                      SeedStream, ZERO, add_into, generic_ranks, p_div_exact,
                       solve_linear, solve_rows)
-from .exterior import CoframeExpansion, Form, Substitution, identity_substitution
+from .exterior import (CoframeExpansion, Form, Substitution, contact_form,
+                       identity_substitution)
 
 
 class EmptyLocus(ValueError):
@@ -414,14 +415,8 @@ def prolong(se: StructureEquations):
             return res.solved[n]
         return Scalar.var(n)
 
-    contact = []
-    for e, en in enumerate(se.complement):
-        terms = {(en,): ONE}
-        for i, xn in enumerate(chart.independent):
-            v = slope(e, i)
-            if not v.is_zero():
-                terms[(xn,)] = terms.get((xn,), ZERO) - v
-        contact.append(Form(new_chart, 1, terms))
+    contact = [contact_form(new_chart, en, [slope(e, i) for i in range(chart.m)])
+               for e, en in enumerate(se.complement)]
     # the new pivots are the complement directions: clear the old generators
     # there, so that the output stays in reduced form
     gens = []

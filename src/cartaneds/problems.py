@@ -16,9 +16,10 @@ See docs/problem-format.md and docs/problem-grammar.ebnf for the format.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -35,6 +36,8 @@ class ParseError(ValueError):
 
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_NAMED = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\s*:\s*(.+)")
+_BUILTIN_NAMES = {"d", "sum", "eta", "g"}
 _TOKEN = re.compile(r"""
     (?P<num>\d+)
   | (?P<name>[A-Za-z][A-Za-z0-9_]*)
@@ -70,19 +73,29 @@ def flat_name(base: str, indices) -> str:
 
 @dataclass
 class ExprContext:
-    """Name resolution for expression evaluation."""
+    """Name resolution for expression evaluation.
+
+    With fresh set to a list, an undeclared name that is not a built-in
+    resolves to a variable outside the chart and is appended to fresh on
+    first occurrence; the parser rejects d() of such a name.
+    """
     chart: Chart
     params: dict                     # name -> Fraction
     ranges: dict                     # index name -> list[int]
     antisym: dict                    # family base -> True
     metric: Optional[dict] = None    # (i, j) -> Fraction
+    fresh: Optional[list] = None
 
     def lookup(self, name: str, line: int):
         if name in self.chart:
             return Form.scalar(self.chart, Scalar.var(name))
         if name in self.params:
             return Form.scalar(self.chart, Scalar.const(self.params[name]))
-        raise ParseError(f"undeclared name {name!r}", line)
+        if self.fresh is None or name in _BUILTIN_NAMES:
+            raise ParseError(f"undeclared name {name!r}", line)
+        if name not in self.fresh:
+            self.fresh.append(name)
+        return Form.scalar(self.chart, Scalar.var(name))
 
     def lookup_indexed(self, base: str, indices, line: int):
         if base == "g":
@@ -90,12 +103,15 @@ class ExprContext:
                 raise ParseError("metric entries g[i,j] need a metric declaration", line)
             if len(indices) != 2:
                 raise ParseError("g takes two indices", line)
-            return Form.scalar(self.chart, Scalar.const(self.metric[(indices[0], indices[1])]))
+            entry = self.metric.get(tuple(indices))
+            if entry is None:
+                raise ParseError("g indices must lie in 1..m", line)
+            return Form.scalar(self.chart, Scalar.const(entry))
         if base == "eta":
             return eta_form(self.chart, indices, self.metric, line)
         sign = 1
         idx = list(indices)
-        if self.antisym.get(base):
+        if base in self.antisym:
             if len(idx) != 2:
                 raise ParseError(f"antisymmetric family {base!r} takes two indices", line)
             if idx[0] == idx[1]:
@@ -242,6 +258,8 @@ class ExprParser:
                 self.expect(")")
                 if inner.degree != 0:
                     raise ParseError("d() takes a degree-0 expression", self.line, npos + 1)
+                if self.ctx.fresh and inner.as_scalar().variables() & set(self.ctx.fresh):
+                    raise ParseError("d() of a new multiplier name", self.line, npos + 1)
                 return inner.d()
             if val == "sum" and nk == "op" and nv == "(":
                 self.next()
@@ -309,11 +327,9 @@ class ExprParser:
         body = self.toks[start:j] + [("end", None, 0)]
         self.i = j + 1
         total = Form.scalar(self.ctx.chart, Scalar.const(0))
-        bindings_list = [{}]
-        for n in names:
-            bindings_list = [dict(b, **{n: v}) for b in bindings_list for v in self.ctx.ranges[n]]
-        for b in bindings_list:
-            sub = ExprParser(body, self.ctx, self.line, bindings={**self.bindings, **b})
+        for values in itertools.product(*(self.ctx.ranges[n] for n in names)):
+            sub = ExprParser(body, self.ctx, self.line,
+                             bindings={**self.bindings, **dict(zip(names, values))})
             total = total + sub.expr()
         return total
 
@@ -331,8 +347,6 @@ class ProblemDocument:
     name: str
     source: str
     chart: Chart
-    ranges: dict
-    antisym: dict
     metric: Optional[dict]
     params: dict                       # resolved name -> Fraction
     lagrangian: Form
@@ -378,7 +392,15 @@ def _parse_rational(text: str, ln: int) -> Fraction:
         raise ParseError(f"expected a rational number, got {text!r}", ln)
 
 
-def _expand_family(token: str, ranges: dict, antisym_sets: set, ln: int):
+def _named(value: str, ln: int, syntax: str):
+    """Split a `name : rest` value; syntax is the usage shown on failure."""
+    m = _NAMED.fullmatch(value)
+    if not m:
+        raise ParseError(f"{syntax.split()[0]} syntax: {syntax}", ln)
+    return m.group(1), m.group(2)
+
+
+def _expand_family(token: str, ranges: dict, antisym: dict, ln: int):
     """A chart-name token: plain name or base[idx,...]; returns flat names."""
     m = re.fullmatch(r"([A-Za-z][A-Za-z0-9_]*)\s*\[([^\]]*)\]", token)
     if not m:
@@ -389,10 +411,8 @@ def _expand_family(token: str, ranges: dict, antisym_sets: set, ln: int):
     for i in idxs:
         if i not in ranges:
             raise ParseError(f"index {i!r} has no declared range", ln)
-    combos = [[]]
-    for i in idxs:
-        combos = [c + [v] for c in combos for v in ranges[i]]
-    if base in antisym_sets:
+    combos = itertools.product(*(ranges[i] for i in idxs))
+    if base in antisym:
         if len(idxs) != 2:
             raise ParseError(f"antisymmetric family {base!r} takes two indices", ln)
         combos = [c for c in combos if c[0] < c[1]]
@@ -417,13 +437,11 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
             if not m:
                 raise ParseError("metric must look like diag(a,b,...)", ln)
             entries = [_parse_rational(s, ln) for s in m.group(1).split(",")]
-            metric, metric_line, metric_size = {}, ln, len(entries)
-            for i, a in enumerate(entries, start=1):
-                for j in range(1, len(entries) + 1):
-                    metric[(i, j)] = a if i == j else Fraction(0)
-            for ij, v in list(metric.items()):
-                if v == 0 and ij[0] == ij[1]:
-                    raise ParseError("metric is degenerate", ln)
+            if 0 in entries:
+                raise ParseError("metric is degenerate", ln)
+            metric_line, metric_size = ln, len(entries)
+            metric = {(i, j): entries[i - 1] if i == j else Fraction(0)
+                      for i, j in itertools.product(range(1, metric_size + 1), repeat=2)}
         else:
             params[key] = _parse_rational(value, ln)
     for k, v in (param_overrides or {}).items():
@@ -449,16 +467,14 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
                 antisym[fam] = True
         elif key == "independent":
             for tok in value.split():
-                independent.extend(_expand_family(tok, ranges, set(antisym), ln))
+                independent.extend(_expand_family(tok, ranges, antisym, ln))
         elif key in ("field", "dependent"):
             for tok in value.split():
-                for n in _expand_family(tok, ranges, set(antisym), ln):
+                for n in _expand_family(tok, ranges, antisym, ln):
                     dependents.append(Dependent(n, ROLE_FIELD))
         elif key == "jet":
-            m = re.fullmatch(r"([A-Za-z][A-Za-z0-9_]*)\s*:\s*(.+)", value)
-            if not m:
-                raise ParseError("jet syntax: jet = field : j1 j2 ... (one per independent)", ln)
-            jet_lines.append((ln, m.group(1), m.group(2).split()))
+            fieldname, jets = _named(value, ln, "jet = field : j1 j2 ... (one per independent)")
+            jet_lines.append((ln, fieldname, jets.split()))
         else:
             raise ParseError(f"unknown chart key {key!r}", ln)
     if not independent:
@@ -495,10 +511,8 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
             else:
                 raise ParseError("lagrangian must be degree 0 (a density) or degree m", ln)
         elif key == "generator":
-            m = re.fullmatch(r"([A-Za-z][A-Za-z0-9_]*)\s*:\s*(.+)", value)
-            if not m:
-                raise ParseError("generator syntax: generator = name : expr", ln)
-            generators.append((m.group(1), parse_expression(m.group(2), ctx, ln)))
+            gname, expr_text = _named(value, ln, "generator = name : expr")
+            generators.append((gname, parse_expression(expr_text, ctx, ln)))
         elif key == "theta":
             theta = parse_expression(value, ctx, ln)
         else:
@@ -513,15 +527,10 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
                 raise ParseError(f"unknown lepage mode {value!r}", ln)
             mode = value
         elif key == "momenta":
-            m = re.fullmatch(r"([A-Za-z][A-Za-z0-9_]*)\s*:\s*(.+)", value)
-            if not m:
-                raise ParseError("momenta syntax: momenta = field : p1 p2 ...", ln)
-            momenta[m.group(1)] = m.group(2).split()
+            fieldname, names = _named(value, ln, "momenta = field : p1 p2 ...")
+            momenta[fieldname] = names.split()
         elif key == "multiplier":
-            m = re.fullmatch(r"([A-Za-z][A-Za-z0-9_]*)\s*:\s*(.+)", value)
-            if not m:
-                raise ParseError("multiplier syntax: multiplier = generator : expr", ln)
-            multiplier_shapes.append((ln, m.group(1), m.group(2)))
+            multiplier_shapes.append((ln, *_named(value, ln, "multiplier = generator : expr")))
         else:
             raise ParseError(f"unknown lepage key {key!r}", ln)
 
@@ -540,52 +549,18 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
     shapes = _resolve_multiplier_shapes(multiplier_shapes, generators, ctx) \
         if mode == "griffiths" else []
     return ProblemDocument(
-        name=name, source=text, chart=chart, ranges=ranges, antisym=antisym,
-        metric=metric, params=params, lagrangian=lagrangian,
-        generators=generators, mode=mode, momenta=momenta,
+        name=name, source=text, chart=chart, metric=metric, params=params,
+        lagrangian=lagrangian, generators=generators, mode=mode, momenta=momenta,
         multiplier_shapes=shapes, theta=theta,
         seed=seed, max_prolongations=maxp, max_steps=maxs)
 
 
-_BUILTIN_NAMES = {"d", "sum", "eta", "g"}
-
-
-def _new_multiplier_names(expr_text: str, ctx: ExprContext, ln: int):
-    """Names in a multiplier expression that resolve nowhere: the new
-    multiplier coordinates, expanded through index families."""
-    toks = tokenize(expr_text, ln)
-    found: list = []
-    i = 0
-    while toks[i][0] != "end":
-        kind, val, _ = toks[i]
-        if kind == "name" and val not in _BUILTIN_NAMES:
-            if toks[i + 1][1] == "[":
-                idxs = []
-                j = i + 2
-                while toks[j][1] != "]":
-                    if toks[j][0] in ("num", "name"):
-                        idxs.append(toks[j][1])
-                    j += 1
-                combos = [[]]
-                for x in idxs:
-                    vals = ctx.ranges.get(x) if isinstance(x, str) else [x]
-                    if vals is None:
-                        raise ParseError(f"index {x!r} has no declared range", ln)
-                    combos = [c + [v] for c in combos for v in vals]
-                if val in ctx.antisym:
-                    combos = [c for c in combos if c[0] < c[1]]
-                fam = [flat_name(val, c) for c in combos]
-                if any(n not in ctx.chart and n not in ctx.params for n in fam):
-                    found.extend(n for n in fam if n not in ctx.chart and n not in ctx.params)
-                i = j
-            elif val not in ctx.chart and val not in ctx.params:
-                found.append(val)
-        i += 1
-    return list(dict.fromkeys(found))
-
-
 def _resolve_multiplier_shapes(lines, generators, ctx: ExprContext):
     """Parse multiplier expressions, discovering new multiplier coordinates.
+
+    One parse collects the undeclared names in the order the parser meets
+    them (a sum runs its first index outermost) and gives the expression,
+    whose coefficients may hold those names; d() of one is rejected.
 
     An expression must be linear-homogeneous in its new names with horizontal
     coefficients; each new name becomes one multiplier coordinate whose basis
@@ -596,28 +571,26 @@ def _resolve_multiplier_shapes(lines, generators, ctx: ExprContext):
     for ln, gname, expr_text in lines:
         if gname not in gen_names:
             raise ParseError(f"multiplier for unknown generator {gname!r}", ln)
-        expanded = _new_multiplier_names(expr_text, ctx, ln)
-        if not expanded:
+        finder = replace(ctx, fresh=[])
+        form = parse_expression(expr_text, finder, ln)
+        new_names = finder.fresh
+        if not new_names:
             raise ParseError("multiplier expression introduces no new coordinate", ln)
-        tmp_chart = ctx.chart.extend([Dependent(n, "multiplier") for n in expanded])
-        ctx2 = ExprContext(chart=tmp_chart, params=ctx.params, ranges=ctx.ranges,
-                           antisym=ctx.antisym, metric=ctx.metric)
-        form = parse_expression(expr_text, ctx2, ln)
         basis = []
-        for n in expanded:
+        for n in new_names:
             coeff_terms = {}
             for idx, c in form.terms.items():
                 dc = c.partial(n)
                 if not dc.is_zero():
-                    if dc.variables() & set(expanded):
+                    if dc.variables() & set(new_names):
                         raise ParseError(f"multiplier expression is not linear in {n!r}", ln)
                     coeff_terms[idx] = dc
             b = Form(ctx.chart, form.degree, coeff_terms)
             if not b.is_zero():
                 basis.append((n, b))
-        check = Form(tmp_chart, form.degree, {})
+        check = Form(ctx.chart, form.degree, {})
         for n, b in basis:
-            check = check + Form(tmp_chart, b.degree, dict(b.terms)).scale(Scalar.var(n))
+            check = check + b.scale(Scalar.var(n))
         if not (form - check).is_zero():
             raise ParseError("multiplier expression must be linear-homogeneous in the new names", ln)
         shapes.append((gname, basis))

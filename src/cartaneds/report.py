@@ -50,8 +50,6 @@ def analyze(doc: ProblemDocument, seed: Optional[int] = None,
     elif doc.mode == "griffiths":
         ls = build_lepage_griffiths(vp, doc.multiplier_shapes)
     else:
-        if doc.theta is None:
-            raise ValueError("explicit mode requires a theta")
         ls = build_lepage_explicit(doc.chart, doc.theta)
     gchart = grassmann_extend(ls)
     eqs = hamilton_equations(ls, gchart)

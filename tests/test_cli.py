@@ -138,6 +138,42 @@ def test_metric_size_mismatch_exit_65(tmp_path, capsys, metric, size):
     assert f"metric has {size} diagonal entries for 4 independent" in err
 
 
+GRIFFITHS_PROBLEM = """name = g
+[chart]
+independent = x y
+field = u
+jet = u : u_x u_y
+[forms]
+lagrangian = u_x^2
+generator = th : d(u) - u_x*d(x) - u_y*d(y)
+[lepage]
+mode = griffiths
+multiplier = th : p*d(x)
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("name = e\n[chart]\nindependent = x y\nfield = u\n[forms]\nlagrangian = u\n"
+     "[lepage]\nmode = explicit\n", "mode = explicit requires a theta"),
+    (fixture_text("maxwell").replace("g[i,j]*g[k,l]", "g[5,5]*g[k,l]"),
+     "g indices must lie in 1..m"),
+    (fixture_text("maxwell").replace("P[i,j]*eta[i,j])", "P[i,j)"),
+     "expected ',' or ']' in index list"),
+    (GRIFFITHS_PROBLEM.replace("p*d(x)", "g*d(x)"), "undeclared name 'g'"),
+    (GRIFFITHS_PROBLEM.replace("p*d(x)", "p*d(x) + d(p)"), "d() of a new multiplier name"),
+], ids=["explicit-without-theta", "metric-index-out-of-range",
+        "unclosed-multiplier-index", "multiplier-uses-builtin", "multiplier-differential"])
+def test_malformed_input_exit_65(tmp_path, capsys, text, message):
+    # the first three used to escape as KeyError/IndexError/ValueError (exit 70)
+    bad = tmp_path / "bad.prob"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_unexpected_exception_exit_70(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise KeyError((1, 4))

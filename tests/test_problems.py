@@ -204,3 +204,30 @@ multiplier = th : k^2*d(x)
 """
     with pytest.raises(ParseError, match="linear"):
         parse_problem(text)
+
+
+@pytest.mark.parametrize("expr, names", [
+    ("sum(i : Q[i]*eta[i])", ["Q_1", "Q_2", "Q_3"]),
+    ("sum(i : Q[i,i]*eta[i])", ["Q_11", "Q_22", "Q_33"]),
+    # first occurrence in evaluation order: the first sum index runs outermost
+    ("sum(j,i : Q[i,j]*eta[i])", ["Q_11", "Q_21", "Q_31", "Q_12", "Q_22", "Q_32",
+                                  "Q_13", "Q_23", "Q_33"]),
+], ids=["vector", "diagonal", "transposed-sum"])
+def test_multiplier_names_in_first_occurrence_order(expr, names):
+    text = f"""name = s
+[chart]
+range = i j : 1 3
+independent = x[i]
+field = u
+jet = u : u_1 u_2 u_3
+[forms]
+lagrangian = 0
+generator = th : d(u) - sum(i : u[i]*d(x[i]))
+[lepage]
+mode = griffiths
+multiplier = th : {expr}
+"""
+    (gname, basis), = parse_problem(text).multiplier_shapes
+    assert gname == "th"
+    assert [n for n, _ in basis] == names
+    assert all(b.degree == 2 and len(b.terms) == 1 for _, b in basis)
