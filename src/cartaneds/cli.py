@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 
 from .hamilton import DegreeMismatch, MissingJetStructure
-from .ladder import NeedsUserBranch, VERDICT_BRANCH, VERDICT_BUDGET, VERDICT_EMPTY, VERDICT_INVOLUTIVE
+from .ladder import VERDICT_BRANCH, VERDICT_BUDGET, VERDICT_EMPTY, VERDICT_INVOLUTIVE
 from .problems import ParseError, parse_problem
 from .report import analyze, emit
 from .scalars import NonLinearInUnknowns
@@ -167,9 +167,6 @@ def main(argv=None) -> int:
     except (ParseError, DegreeMismatch, MissingJetStructure) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except NeedsUserBranch as err:
-        print(f"needs user branch: {err}", file=sys.stderr)
-        return 2
     except NonLinearInUnknowns as err:
         print(f"nonlinear constraint: {err}", file=sys.stderr)
         return 2

@@ -265,7 +265,7 @@ def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,
     system = make_system(new_chart, thetas, assumptions=assumptions)
     return HamiltonLocus(grassmann_chart=gchart, solved=subst,
                          base_constraints=_dedupe(base_constraints),
-                         assumptions=_dedupe(system.assumptions),
+                         assumptions=system.assumptions,
                          pfaffian=system)
 
 

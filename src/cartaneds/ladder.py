@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .scalars import NonLinearInUnknowns, Scalar, p_div_exact
+from .scalars import NonLinearInUnknowns, Poly, Scalar, p_div_exact, p_is_const
 from .exterior import Substitution
 from .hamilton import HamiltonLocus
 from .pfaffian import (CharacterVector, EmptyLocus, InvolutivityReport,
-                       PfaffianSystem, cartan_test, peel_assumed_factor,
-                       prolong, restrict, structure_equations)
+                       PfaffianSystem, cartan_test, prolong, restrict,
+                       structure_equations)
 
 
 class NeedsUserBranch(ValueError):
@@ -59,21 +59,27 @@ class ConstraintLadder:
     hamilton: Optional[HamiltonLocus] = None
 
 
+def _strip_factors(num: Poly, factors: Sequence[Scalar]) -> Poly:
+    """The nonzero numerator num with every nonconstant recorded factor
+    divided out as often as it divides.
+
+    Each division lowers the degree, so every loop ends; a factor that does
+    not divide num divides none of its quotients, so one pass suffices.
+    """
+    for f in factors:
+        if f.as_constant() is not None:
+            continue
+        q = p_div_exact(num, f.num)
+        while q is not None:
+            num = q
+            q = p_div_exact(num, f.num)
+    return num
+
+
 def redundant_assumption(a: Scalar, seen: Sequence[Scalar]) -> bool:
     """True when a's nonvanishing already follows from recorded assumptions
     (a is a product of powers of them, up to a constant)."""
-    cur = a.num
-    for _ in range(16):
-        if len(cur) == 1 and () in cur:
-            return True
-        for s in seen:
-            q = p_div_exact(cur, s.num)
-            if q is not None and q != cur:
-                cur = q
-                break
-        else:
-            return False
-    return False
+    return p_is_const(_strip_factors(a.num, seen))
 
 
 def classify_constraint(c: Scalar, chart) -> tuple:
@@ -96,8 +102,8 @@ def _split_constraints(cons: Sequence[Scalar], chart):
 def _branch_policy(sys: PfaffianSystem, constraints: list, offending: Scalar) -> list:
     """Replace a nonlinear constraint per the declared branch policy.
 
-    Drop it when a factor already vanishes on the locus; divide out a factor
-    recorded as nonzero; otherwise the caller must branch.
+    Drop it when a factor already vanishes on the locus; divide out every
+    factor recorded as nonzero; otherwise the caller must branch.
     """
     rest = [c for c in constraints if c != offending]
     for z in list(sys.zero_forms) + rest:
@@ -105,20 +111,27 @@ def _branch_policy(sys: PfaffianSystem, constraints: list, offending: Scalar) ->
             continue
         if p_div_exact(offending.num, z.num) is not None:
             return rest  # a factor is already zero on the locus
-    peeled = peel_assumed_factor(offending, sys.assumptions)
-    if peeled is None:
+    stripped = _strip_factors(offending.num, sys.assumptions)
+    if stripped == offending.num:
         raise NeedsUserBranch(offending)
-    return rest + [peeled.constraint_normal()]
+    return rest + [Scalar(stripped).constraint_normal()]
 
 
 def _restrict_with_policy(sys: PfaffianSystem, constraints: Sequence[Scalar]):
+    """restrict under the branch policy.
+
+    The retry list holds normalized constraints (make_system normalizes the
+    zero-forms, essential torsion is normalized), so the offending equation
+    restrict reports is one of them.  Each retry drops it or replaces it by
+    a copy of lower degree that no recorded factor divides, so the total
+    degree of the list falls and the loop ends.
+    """
     cons = list(constraints)
-    for _ in range(len(cons) + 8):
+    while True:
         try:
             return restrict(sys, cons)
         except NonLinearInUnknowns as err:
-            cons = _branch_policy(sys, cons, err.equation.constraint_normal())
-    raise NeedsUserBranch(cons[0] if cons else Scalar.const(0))
+            cons = _branch_policy(sys, cons, err.equation)
 
 
 def run_system(sys: PfaffianSystem, subst: Substitution, seed: int,

@@ -38,7 +38,7 @@ class PfaffianSystem:
     chart: Chart
     generators: list          # reduced degree-1 Forms
     pivots: list              # fiber pivot coordinate per generator
-    zero_forms: list          # Scalars carried by the ideal
+    zero_forms: list          # normalized Scalars carried by the ideal
     assumptions: list         # nonvanishing pivots accumulated so far
 
     @property
@@ -87,17 +87,6 @@ def prune_constraints(scalars: Sequence[Scalar]) -> list:
     return out
 
 
-def peel_assumed_factor(eq: Scalar, assumptions: Sequence[Scalar]) -> Optional[Scalar]:
-    """eq with the first factor recorded as nonvanishing divided out of its
-    numerator (same zero locus where the assumptions hold), or None when no
-    assumption divides it."""
-    for a in assumptions:
-        q = p_div_exact(eq.num, a.num)
-        if q is not None:
-            return Scalar(q, eq.den)
-    return None
-
-
 def reduce_generators(chart: Chart, forms: Sequence[Form]):
     """Gauss-reduce 1-forms over the fiber differentials.
 
@@ -143,14 +132,17 @@ def reduce_generators(chart: Chart, forms: Sequence[Form]):
         kept_rows.append(row)
         pivots.append(pname)
     gens = [Form(chart, 1, {(n,): c for n, c in row.items()}) for row in kept_rows]
-    return gens, pivots, _dedupe(zero_forms), _dedupe(assumptions)
+    return gens, pivots, zero_forms, assumptions
 
 
 def make_system(chart: Chart, forms: Sequence[Form], zero_forms: Sequence[Scalar] = (),
                 assumptions: Sequence[Scalar] = ()) -> PfaffianSystem:
+    """A reduced system whose zero-forms are numerator-normalized and, like
+    its assumptions, deduplicated in first-occurrence order."""
     gens, pivots, extra_zero, extra_assumptions = reduce_generators(chart, forms)
+    zero = [z.constraint_normal() for z in zero_forms] + extra_zero
     return PfaffianSystem(chart=chart, generators=gens, pivots=pivots,
-                          zero_forms=_dedupe(list(zero_forms) + extra_zero),
+                          zero_forms=_dedupe(zero),
                           assumptions=_dedupe(list(assumptions) + extra_assumptions))
 
 
@@ -440,6 +432,9 @@ def restrict(sys: PfaffianSystem, constraints: Sequence[Scalar]):
     prolongation level first, multipliers before jets before fields),
     pulls everything back through the substitution, demotes degenerated
     generators to zero-forms, and records pivot genericity assumptions.
+    Every dependent is an unknown of the solve, so a residual relates the
+    independents alone; integral manifolds satisfy the independence
+    condition, so any residual means an empty locus.
     """
     cons = _dedupe([c.constraint_normal() for c in constraints])
     if not cons:
@@ -449,13 +444,8 @@ def restrict(sys: PfaffianSystem, constraints: Sequence[Scalar]):
         if k is not None and k != 0:
             raise EmptyLocus(f"constraint {c} is a nonzero constant")
     res = solve_linear(cons, sys.chart.solve_order())
-    leftover = []
-    for r in res.residual:
-        k = r.as_constant()
-        if k is not None and k != 0:
-            raise EmptyLocus("restriction is inconsistent: there are no integral manifolds")
-        if k is None:
-            leftover.append(r.constraint_normal())
+    if res.residual:
+        raise EmptyLocus("restriction is inconsistent: there are no integral manifolds")
     new_chart = sys.chart.drop(res.solved.keys())
     subst = Substitution(new_chart, res.solved)
     pulled = [subst.form(g) for g in sys.generators]
@@ -467,6 +457,6 @@ def restrict(sys: PfaffianSystem, constraints: Sequence[Scalar]):
             raise EmptyLocus("restriction contradicts a carried zero-form")
         if k is None:
             zero.append(zz.constraint_normal())
-    return make_system(new_chart, pulled, zero + leftover,
+    return make_system(new_chart, pulled, zero,
                        sys.assumptions + res.assumptions), subst
 

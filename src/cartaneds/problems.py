@@ -156,12 +156,12 @@ def _isqrt_exact(n: int):
 class ExprParser:
     """Recursive descent over the token list; values are Forms (degree 0 = scalar)."""
 
-    def __init__(self, tokens, ctx: ExprContext, line: int, bindings=None):
+    def __init__(self, tokens, ctx: ExprContext, line: int):
         self.toks = tokens
         self.i = 0
         self.ctx = ctx
         self.line = line
-        self.bindings = bindings or {}
+        self.bindings = {}
 
     def peek(self):
         return self.toks[self.i]
@@ -309,28 +309,15 @@ class ExprParser:
         for n in names:
             if n not in self.ctx.ranges:
                 raise ParseError(f"index {n!r} has no declared range", self.line)
-        start = self.i
-        depth = 0
-        # find the matching close parenthesis
-        j = start
-        while True:
-            kind, val, pos = self.toks[j]
-            if kind == "end":
-                raise ParseError("unterminated sum(...)", self.line, pos)
-            if kind == "op" and val == "(":
-                depth += 1
-            elif kind == "op" and val == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            j += 1
-        body = self.toks[start:j] + [("end", None, 0)]
-        self.i = j + 1
+        # ranges are non-empty, so the body is parsed at least once
+        start, outer = self.i, self.bindings
         total = Form.scalar(self.ctx.chart, Scalar.const(0))
         for values in itertools.product(*(self.ctx.ranges[n] for n in names)):
-            sub = ExprParser(body, self.ctx, self.line,
-                             bindings={**self.bindings, **dict(zip(names, values))})
-            total = total + sub.expr()
+            self.i = start
+            self.bindings = {**outer, **dict(zip(names, values))}
+            total = total + self.expr()
+        self.bindings = outer
+        self.expect(")")
         return total
 
 
@@ -460,6 +447,8 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
             if not m:
                 raise ParseError("range syntax: range = i j : 1 4", ln)
             lo, hi = int(m.group(2)), int(m.group(3))
+            if lo > hi:
+                raise ParseError("range must be non-empty: range = i : lo hi needs lo <= hi", ln)
             for idx in m.group(1).split():
                 ranges[idx] = list(range(lo, hi + 1))
         elif key == "antisym":

@@ -174,6 +174,51 @@ def test_malformed_input_exit_65(tmp_path, capsys, text, message):
     assert message in err
 
 
+TORSION_X_PROBLEM = """[chart]
+independent = x y
+field = u
+[forms]
+lagrangian = 0
+generator = th1 : d(u)/\\d(y)
+generator = th2 : d(u)/\\d(x) - (1/2)*x^2*d(x)/\\d(y)
+[lepage]
+mode = griffiths
+multiplier = th1 : p1
+multiplier = th2 : p2
+"""
+
+
+def test_torsion_among_independents_is_empty_exit_1(tmp_path, capsys):
+    # the essential torsion x = 0 relates the independents alone, so no
+    # integral manifold exists; it used to be carried as a zero-form that
+    # came back unchanged until max_steps ran out (exit 3)
+    path = tmp_path / "torsion.prob"
+    path.write_text(TORSION_X_PROBLEM)
+    rep = analyze(parse_problem(TORSION_X_PROBLEM))
+    assert rep.verdict == "empty"
+    assert [s["kind"] for s in rep.steps] == ["empty_locus"]
+    assert rep.steps[0]["base_constraints"] == ["x"]
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert "verdict: empty" in out
+
+
+@pytest.mark.parametrize("lagrangian, lo_hi, message", [
+    ("sum(i : u_x u_y)", "1 2", "expected ')', found 'u_y'"),
+    ("sum(i : u_x^2)", "2 1", "range must be non-empty"),
+], ids=["sum-body-trailing-input", "empty-range"])
+def test_sum_body_and_range_errors_exit_65(tmp_path, capsys, lagrangian, lo_hi, message):
+    # a sum body is one expression: its trailing input used to be dropped
+    text = GRIFFITHS_PROBLEM.replace("field = u", f"field = u\nrange = i : {lo_hi}")
+    bad = tmp_path / "bad.prob"
+    bad.write_text(text.replace("lagrangian = u_x^2", f"lagrangian = {lagrangian}"))
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_unexpected_exception_exit_70(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise KeyError((1, 4))

@@ -142,6 +142,21 @@ def test_branch_policy_divides_by_assumption():
     assert lad.substitution.bindings["Zu"] == Scalar.const(1)
 
 
+@pytest.mark.parametrize("c", [1, -2])
+@pytest.mark.parametrize("k", [1, 9, 12])
+def test_branch_policy_divides_every_power_of_an_assumption(k, c):
+    # every power of the recorded factor goes, and a zero-form given with a
+    # constant factor is the same constraint as its normalized copy
+    ch = Chart(["x"], [Dependent("u", "field"), Dependent("w", "field"),
+                       Dependent("Zu", "grassmann", 1, ("u", "x"))])
+    th = Form(ch, 1, {("u",): ONE, ("x",): -V("Zu")})
+    sys = make_system(ch, [th], zero_forms=[c * (V("w") + 1) ** k * (V("Zu") - 1)],
+                      assumptions=[V("w") + 1])
+    lad = run_system(sys, identity_substitution(ch), seed=1)
+    assert lad.verdict == "involutive"
+    assert lad.substitution.bindings["Zu"] == Scalar.const(1)
+
+
 def test_empty_locus_verdict():
     ch = Chart(["x"], [Dependent("u", "field"),
                        Dependent("Zu", "grassmann", 1, ("u", "x"))])
@@ -158,6 +173,14 @@ def test_redundant_assumption():
     assert redundant_assumption(y ** 2, [y])
     assert redundant_assumption(3 * y, [y])
     assert not redundant_assumption(y + 1, [y])
+
+
+@pytest.mark.parametrize("k", [2, 16, 20])
+def test_redundant_assumption_any_power(k):
+    y = Scalar.var("y")
+    assert redundant_assumption(y ** k, [y])
+    assert redundant_assumption(-3 * (y + 1) ** 2 * y ** k, [y, y + 1])
+    assert not redundant_assumption((y - 1) * y ** k, [y])
 
 
 def test_ladder_replay_reaches_same_final_system():

@@ -275,6 +275,22 @@ def test_restrict_constant_raises_empty_locus():
         restrict(SYS_J1R3, [Scalar.const(1)])
 
 
+def test_restrict_residual_among_independents_is_empty():
+    # u - x and u - 1 leave x - 1, a relation among the independents alone:
+    # no integral manifold satisfies the independence condition there
+    ch = Chart(["x"], [Dependent("u"), Dependent("Zu", "grassmann", 1)])
+    sys = make_system(ch, [Form(ch, 1, {("u",): ONE, ("x",): -V("Zu")})])
+    with pytest.raises(EmptyLocus):
+        restrict(sys, [V("u") - V("x"), V("u") - 1])
+
+
+def test_make_system_normalizes_zero_forms():
+    ch = Chart(["x"], [Dependent("u"), Dependent("w")])
+    sys = make_system(ch, [], zero_forms=[-2 * (V("w") + 1) * (V("u") - 1),
+                                          (V("w") + 1) * (V("u") - 1), V("u") / 3])
+    assert sys.zero_forms == [(V("w") + 1) * (V("u") - 1), V("u")]
+
+
 def test_restrict_records_assumption_and_substitutes():
     # y Z + 2w restricts Z with pivot y
     ch = Chart(["x", "y"], [Dependent("w"), Dependent("Z", "grassmann", 1)])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +232,22 @@ multiplier = th : {expr}
     assert gname == "th"
     assert [n for n, _ in basis] == names
     assert all(b.degree == 2 and len(b.terms) == 1 for _, b in basis)
+
+
+def test_sum_body_is_one_expression():
+    c = ctx_for(CH, ranges={"i": [1, 2]})
+    assert parse_expression("sum(i : u + sum(i : p))", c).as_scalar() == \
+        2 * Scalar.var("u") + 4 * Scalar.var("p")
+    with pytest.raises(ParseError, match=r"expected '\)'"):
+        parse_expression("sum(i : u p)", c)
+    with pytest.raises(ParseError, match=r"expected '\)'"):
+        parse_expression("sum(i : u", c)
+
+
+def test_documented_example_parses():
+    doc_text = (Path(__file__).resolve().parent.parent / "docs" / "problem-format.md").read_text()
+    block = doc_text.split("```")[1]
+    doc = parse_problem(block)
+    assert doc.name == "saunders"
+    assert doc.mode == "griffiths"
+    assert doc.seed == 7
