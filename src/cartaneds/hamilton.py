@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 from .scalars import (Chart, Dependent, NonLinearInUnknowns, ROLE_FIELD,
                       ROLE_GRASSMANN, ROLE_JET, ROLE_MULTIPLIER, Scalar, ONE,
-                      _linear_split, solve_linear, solve_rows)
+                      solve_linear)
 from .exterior import (Form, Substitution, contact_form, vertical_degree,
                        volume_contraction)
 from .pfaffian import EmptyLocus, PfaffianSystem, _dedupe, make_system
@@ -219,9 +219,10 @@ def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,
     (multipliers before jets before fields), or, when none is Z-free, the
     equations affine-linear in the Z coordinates; the new bindings are then
     substituted through, so equations whose coefficients vanish on the base
-    locus drop out before the fiber solve.  Every recorded assumption is a
-    Z-free pivot, so an equation linear in neither sense stays so and is
-    surfaced as NonLinearInUnknowns.
+    locus drop out before the fiber solve.  A residual of the Z-free solve
+    empties the locus before any of its nonlinear equations is read.  Every
+    recorded assumption is a Z-free pivot, so an equation linear in neither
+    sense stays so and is surfaced as NonLinearInUnknowns.
     """
     znames = [d.name for d in gchart.dependent if d.level >= 1]
     zset = set(znames)
@@ -236,20 +237,15 @@ def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,
             res = solve_linear(zfree, [n for n in base_names if n not in bindings])
             if res.residual:
                 raise EmptyLocus("Hamilton equations are inconsistent on the base")
+            if res.nonlinear:
+                raise NonLinearInUnknowns(res.nonlinear[0])
             base_constraints.extend(c.constraint_normal() for c in zfree)
             pending = [e for e in pending if e.variables() & zset]
         else:
-            live = [n for n in znames if n not in bindings]
-            rows, nonlinear = [], []
-            for e in pending:
-                try:
-                    rows.append(_linear_split(e, live))
-                except NonLinearInUnknowns:
-                    nonlinear.append(e)
-            if not rows:
-                raise NonLinearInUnknowns(nonlinear[0])
-            res = solve_rows(rows, live)
-            pending = nonlinear + res.residual
+            res = solve_linear(pending, [n for n in znames if n not in bindings])
+            if not res.solved:
+                raise NonLinearInUnknowns(res.nonlinear[0])
+            pending = res.nonlinear + res.residual
         assumptions.extend(res.assumptions)
         bindings = {k: v.substitute(res.solved) for k, v in bindings.items()}
         bindings.update(res.solved)

@@ -19,8 +19,8 @@ from .scalars import NonLinearInUnknowns, Poly, Scalar, p_div_exact, p_is_const
 from .exterior import Substitution
 from .hamilton import HamiltonLocus
 from .pfaffian import (CharacterVector, EmptyLocus, InvolutivityReport,
-                       PfaffianSystem, cartan_test, prolong, restrict,
-                       structure_equations)
+                       PfaffianSystem, cartan_test, prolong, prune_constraints,
+                       restrict, structure_equations)
 
 
 class NeedsUserBranch(ValueError):
@@ -102,19 +102,18 @@ def _split_constraints(cons: Sequence[Scalar], chart):
 def _branch_policy(sys: PfaffianSystem, constraints: list, offending: Scalar) -> list:
     """Replace a nonlinear constraint per the declared branch policy.
 
-    Drop it when a factor already vanishes on the locus; divide out every
-    factor recorded as nonzero; otherwise the caller must branch.
+    Drop every listed multiple of another listed constraint, it among them;
+    else divide out every factor recorded as nonzero; otherwise the caller
+    must branch.  The first list holds every carried zero-form, and each
+    later one a divisor of each, so pruning sees every vanishing factor.
     """
-    rest = [c for c in constraints if c != offending]
-    for z in list(sys.zero_forms) + rest:
-        if z == offending or z.as_constant() is not None:
-            continue
-        if p_div_exact(offending.num, z.num) is not None:
-            return rest  # a factor is already zero on the locus
+    cons = prune_constraints(constraints)
+    if offending not in cons:
+        return cons  # a factor is already zero on the locus
     stripped = _strip_factors(offending.num, sys.assumptions)
     if stripped == offending.num:
         raise NeedsUserBranch(offending)
-    return rest + [Scalar(stripped).constraint_normal()]
+    return [c for c in cons if c != offending] + [Scalar(stripped).constraint_normal()]
 
 
 def _restrict_with_policy(sys: PfaffianSystem, constraints: Sequence[Scalar]):
@@ -122,9 +121,9 @@ def _restrict_with_policy(sys: PfaffianSystem, constraints: Sequence[Scalar]):
 
     The retry list holds normalized constraints (make_system normalizes the
     zero-forms, essential torsion is normalized), so the offending equation
-    restrict reports is one of them.  Each retry drops it or replaces it by
-    a copy of lower degree that no recorded factor divides, so the total
-    degree of the list falls and the loop ends.
+    restrict reports is one of them.  Each retry drops constraints, it
+    among them, or replaces it by a copy of lower degree that no recorded
+    factor divides, so the total degree of the list falls and the loop ends.
     """
     cons = list(constraints)
     while True:

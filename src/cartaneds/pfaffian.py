@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .scalars import (Chart, Dependent, LinearSolveResult, ROLE_GRASSMANN, Scalar,
-                      SeedStream, ZERO, add_into, generic_ranks, p_div_exact,
-                      solve_linear, solve_rows)
+from .scalars import (Chart, Dependent, LinearSolveResult, NonLinearInUnknowns,
+                      ROLE_GRASSMANN, Scalar, SeedStream, ZERO, add_into,
+                      generic_ranks, p_div_exact, solve_linear, solve_rows)
 from .exterior import (CoframeExpansion, Form, Substitution, contact_form,
                        identity_substitution)
 
@@ -434,29 +434,22 @@ def restrict(sys: PfaffianSystem, constraints: Sequence[Scalar]):
     generators to zero-forms, and records pivot genericity assumptions.
     Every dependent is an unknown of the solve, so a residual relates the
     independents alone; integral manifolds satisfy the independence
-    condition, so any residual means an empty locus.
+    condition, so any residual means an empty locus, even when another
+    constraint is not affine-linear; only then is that NonLinearInUnknowns.
     """
     cons = _dedupe([c.constraint_normal() for c in constraints])
     if not cons:
         return sys, identity_substitution(sys.chart)
-    for c in cons:
-        k = c.as_constant()
-        if k is not None and k != 0:
-            raise EmptyLocus(f"constraint {c} is a nonzero constant")
     res = solve_linear(cons, sys.chart.solve_order())
     if res.residual:
         raise EmptyLocus("restriction is inconsistent: there are no integral manifolds")
+    if res.nonlinear:
+        raise NonLinearInUnknowns(res.nonlinear[0])
     new_chart = sys.chart.drop(res.solved.keys())
     subst = Substitution(new_chart, res.solved)
     pulled = [subst.form(g) for g in sys.generators]
-    zero = []
-    for z in sys.zero_forms:
-        zz = subst.scalar(z)
-        k = zz.as_constant()
-        if k is not None and k != 0:
-            raise EmptyLocus("restriction contradicts a carried zero-form")
-        if k is None:
-            zero.append(zz.constraint_normal())
+    zero = [subst.scalar(z) for z in sys.zero_forms]
+    if any(z.as_constant() not in (None, 0) for z in zero):
+        raise EmptyLocus("restriction contradicts a carried zero-form")
     return make_system(new_chart, pulled, zero,
                        sys.assumptions + res.assumptions), subst
-

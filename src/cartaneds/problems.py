@@ -481,9 +481,11 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
                 raise ParseError(f"bad jet name {jn!r}", ln)
             dependents.append(Dependent(jn, ROLE_JET, 0, (fieldname, xn)))
     try:
-        chart = Chart(independent, dependents, params)
+        chart = Chart(independent, dependents)
     except ValueError as err:
         raise ParseError(str(err))
+    if any(k in chart for k in params):
+        raise ParseError("chart names must be unique across independents, dependents and parameters")
 
     ctx = ExprContext(chart=chart, params=params, ranges=ranges,
                       antisym=antisym, metric=metric)
@@ -509,6 +511,7 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
 
     mode = "classical"
     momenta: dict = {}
+    declared: set = set()
     multiplier_shapes: list = []
     for ln, key, value in sections["lepage"]:
         if key == "mode":
@@ -518,6 +521,11 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
         elif key == "momenta":
             fieldname, names = _named(value, ln, "momenta = field : p1 p2 ...")
             momenta[fieldname] = names.split()
+            for n in momenta[fieldname]:
+                if n in chart or n in params or n in declared:
+                    raise ParseError(f"momentum {n!r} is already a coordinate, "
+                                     "parameter or momentum", ln)
+                declared.add(n)
         elif key == "multiplier":
             multiplier_shapes.append((ln, *_named(value, ln, "multiplier = generator : expr")))
         else:

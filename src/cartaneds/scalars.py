@@ -34,7 +34,7 @@ class DomainError(ArithmeticError):
 
 
 class NonLinearInUnknowns(ValueError):
-    """An equation handed to solve_linear has degree >= 2 in the unknowns."""
+    """An equation a restriction must solve is not affine-linear in its unknowns."""
 
     def __init__(self, equation: "Scalar"):
         self.equation = equation
@@ -692,19 +692,17 @@ class Dependent:
 
 
 class Chart:
-    """A single coordinate chart: ordered independents, tagged dependents, parameters."""
+    """A single coordinate chart: ordered independents and tagged dependents."""
 
-    def __init__(self, independent: Sequence[str], dependent: Sequence[Dependent],
-                 parameters: Optional[Mapping[str, Fraction]] = None):
+    def __init__(self, independent: Sequence[str], dependent: Sequence[Dependent]):
         self.independent = tuple(independent)
         self.dependent = tuple(dependent)
-        self.parameters = dict(parameters or {})
         if len(self.independent) < 1:
             raise ValueError("at least one independent coordinate is required")
-        names = list(self.independent) + [d.name for d in self.dependent] + list(self.parameters)
+        names = list(self.independent) + [d.name for d in self.dependent]
         if len(set(names)) != len(names):
-            raise ValueError("chart names must be unique across independents, dependents and parameters")
-        self._pos = {n: i for i, n in enumerate(list(self.independent) + [d.name for d in self.dependent])}
+            raise ValueError("chart names must be unique across independents and dependents")
+        self._pos = {n: i for i, n in enumerate(names)}
         self._dep = {d.name: d for d in self.dependent}
 
     @property
@@ -737,14 +735,13 @@ class Chart:
         return d.role if d else None
 
     def extend(self, new_dependents: Sequence[Dependent]) -> "Chart":
-        return Chart(self.independent, self.dependent + tuple(new_dependents), self.parameters)
+        return Chart(self.independent, self.dependent + tuple(new_dependents))
 
     def drop(self, names: Iterable[str]) -> "Chart":
         gone = set(names)
         if gone & set(self.independent):
             raise ValueError("independent coordinates cannot be eliminated")
-        return Chart(self.independent, tuple(d for d in self.dependent if d.name not in gone),
-                     self.parameters)
+        return Chart(self.independent, tuple(d for d in self.dependent if d.name not in gone))
 
     def solve_order(self) -> list:
         """Default elimination order: highest level first, multipliers before
@@ -768,20 +765,22 @@ class LinearSolveResult:
     solved maps eliminated unknowns to right-hand sides free of every solved
     unknown; residual holds the unknown-free compatibility scalars; free lists
     unknowns left undetermined; assumptions records nonconstant pivots that
-    were divided by (each is assumed nonzero).
+    were divided by (each is assumed nonzero); nonlinear holds, in input
+    order, the equations set aside as not affine-linear in the unknowns.
     """
 
     solved: dict
     residual: list
     free: list
     assumptions: list
+    nonlinear: list = field(default_factory=list)
 
 
 def _linear_split(eq: Scalar, unknowns: Sequence[str]):
-    """Write eq as sum(coeff[u]*u) + const; raise when not affine-linear."""
+    """Write eq as sum(coeff[u]*u) + const, or None when not affine-linear."""
     uset = set(unknowns)
     if p_variables(eq.den) & uset:
-        raise NonLinearInUnknowns(eq)
+        return None
     coeffs: dict = {}
     const: Poly = {}
     for m, c in eq.num.items():
@@ -789,7 +788,7 @@ def _linear_split(eq: Scalar, unknowns: Sequence[str]):
         for name, e in m:
             if name in uset:
                 if hit is not None or e > 1:
-                    raise NonLinearInUnknowns(eq)
+                    return None
                 hit = name
         if hit is None:
             s = const.get(m, 0) + c
@@ -813,12 +812,14 @@ def _linear_split(eq: Scalar, unknowns: Sequence[str]):
 def solve_linear(eqs: Sequence[Scalar], unknowns: Sequence[str]) -> LinearSolveResult:
     """Gaussian elimination over the scalar field, of equations given as scalars.
 
-    Each nonzero equation is split into its coefficients and constant
-    (raising NonLinearInUnknowns when it is not affine-linear in the
-    unknowns) and the rows are handed to solve_rows.
+    Each nonzero equation is split into its coefficients and constant and
+    the rows are handed to solve_rows; an equation that is not affine-linear
+    in the unknowns is set aside in the result's nonlinear list.
     """
-    return solve_rows([_linear_split(eq, unknowns) for eq in eqs if not eq.is_zero()],
-                      unknowns)
+    split = [(eq, _linear_split(eq, unknowns)) for eq in eqs if not eq.is_zero()]
+    res = solve_rows([row for _, row in split if row is not None], unknowns)
+    res.nonlinear = [eq for eq, row in split if row is None]
+    return res
 
 
 def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveResult:

@@ -248,6 +248,27 @@ def test_param_override_and_structured_out(tmp_path, capsys):
     assert payload["verdict"] == "involutive"
 
 
+def test_param_named_like_a_coordinate_exit_65(tmp_path, capsys):
+    bad = tmp_path / "bad.prob"
+    bad.write_text(fixture_text("sundermeyer").replace("beta = 2", "beta = 2\nq1 = 3"))
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 65
+    assert out == ""
+    assert "chart names must be unique across independents, dependents and parameters" in err
+
+
+def test_param_named_like_a_later_coordinate_is_substituted(tmp_path, capsys):
+    # Zq1_t is a Grassmann coordinate of the analysis, not of the problem
+    # chart; the parameter is substituted at parse time and the analysis runs
+    path = tmp_path / "extra.prob"
+    path.write_text(fixture_text("sundermeyer").replace("beta = 2", "beta = 2\nZq1_t = 3"))
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    _, want, _ = run_cli(capsys, "analyze", str(FIXDIR / "sundermeyer.prob"))
+    assert code == 0
+    assert "params: Zq1_t=3, alpha=1, beta=2" in out
+    assert out.split("seed:", 1)[1] == want.split("seed:", 1)[1]
+
+
 def test_analyze_multiple_files(capsys):
     code, out, _ = run_cli(capsys, "analyze", str(FIXDIR / "integrability.prob"),
                            str(FIXDIR / "affine.prob"))

@@ -241,6 +241,15 @@ def test_equation_quadratic_in_z_raises_nonlinear():
         solve_hamilton_locus(ls, g, hamilton_equations(ls, g))
 
 
+def test_base_residual_empties_locus_before_a_nonlinear_equation():
+    # p1 - 1 and p1 - 2 are inconsistent on the base whatever p1*p2 = 0
+    # asks, so the locus is empty and no branch is needed
+    ls = fixture_lepage("sundermeyer")
+    g = grassmann_extend(ls)
+    with pytest.raises(EmptyLocus):
+        solve_hamilton_locus(ls, g, [V("p1") * V("p2"), V("p1") - 1, V("p1") - 2])
+
+
 def test_integral_sections_solve_equations_of_motion():
     # free-particle regime: final relation is dq1/dt = v1, dv1/dt = 0;
     # a linear section q1 = a + b t, v1 = b annihilates every generator

@@ -168,6 +168,22 @@ def test_empty_locus_verdict():
     assert lad.final_system is None
 
 
+@pytest.mark.parametrize("zero_forms", [
+    [V("x"), V("u") * V("v")],
+    [V("u") - V("x"), V("u") * V("v"), V("u") - 1],
+])
+def test_empty_locus_wins_over_a_needed_branch(zero_forms):
+    # a relation among the independents empties the locus whatever the
+    # branch of u*v = 0, so the ladder ends empty after one step
+    ch = Chart(["x"], [Dependent("u", "field"), Dependent("v", "field"),
+                       Dependent("Zu", "grassmann", 1, ("u", "x"))])
+    th = Form(ch, 1, {("u",): ONE, ("x",): -V("Zu")})
+    sys = make_system(ch, [th], zero_forms=zero_forms)
+    lad = run_system(sys, identity_substitution(ch), seed=1)
+    assert lad.verdict == "empty"
+    assert [s.kind for s in lad.steps] == ["empty_locus"]
+
+
 def test_redundant_assumption():
     y = V("y")
     assert redundant_assumption(y ** 2, [y])

@@ -284,6 +284,14 @@ def test_restrict_residual_among_independents_is_empty():
         restrict(sys, [V("u") - V("x"), V("u") - 1])
 
 
+def test_restrict_residual_precedes_nonlinear_constraint():
+    # u*v needs a branch, but u - x and u - 1 already leave x - 1
+    ch = Chart(["x"], [Dependent("u"), Dependent("v"), Dependent("Zu", "grassmann", 1)])
+    sys = make_system(ch, [Form(ch, 1, {("u",): ONE, ("x",): -V("Zu")})])
+    with pytest.raises(EmptyLocus):
+        restrict(sys, [V("u") - V("x"), V("u") * V("v"), V("u") - 1])
+
+
 def test_make_system_normalizes_zero_forms():
     ch = Chart(["x"], [Dependent("u"), Dependent("w")])
     sys = make_system(ch, [], zero_forms=[-2 * (V("w") + 1) * (V("u") - 1),

@@ -78,6 +78,16 @@ def test_unknown_override_rejected():
         parse_problem(fixture_text("sundermeyer"), param_overrides={"gamma": Fraction(1)})
 
 
+@pytest.mark.parametrize("extra, momentum", [("", "v1"), ("\ngamma = 3", "gamma"),
+                                              ("", "p1")])
+def test_momentum_names_must_be_new(extra, momentum):
+    # a momentum becomes a chart coordinate, so it may reuse no coordinate,
+    # parameter (substituted at parse time) or other momentum
+    text = fixture_text("sundermeyer").replace("beta = 2", "beta = 2" + extra)
+    with pytest.raises(ParseError, match=f"momentum '{momentum}' is already"):
+        parse_problem(text.replace("momenta = q2 : p2", f"momenta = q2 : {momentum}"))
+
+
 def test_run_section_values_validated():
     text = fixture_text("maxwell")
     for bad in ("max_prolongations = 0", "max_prolongations = four"):

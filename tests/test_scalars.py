@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cartaneds import scalars
 from cartaneds.scalars import (_PRIMES, SAMPLES, AllSamplesDegenerate, Chart,
-                               Dependent, DomainError, NonLinearInUnknowns, Scalar,
+                               Dependent, DomainError, Scalar,
                                ONE, ZERO, SeedStream, generic_ranks, p_add, p_gcd,
                                _linear_split, add_into, p_leading, p_mul, p_sub,
                                rank_fractions, random_rank, solve_linear, solve_rows)
@@ -154,9 +154,23 @@ def test_solve_linear_inconsistent():
 
 
 def test_solve_linear_rejects_quadratic():
+    # a quadratic equation is set aside, not solved and not a residual
     z = V("z")
-    with pytest.raises(NonLinearInUnknowns):
-        solve_linear([z ** 2 - 1], ["z"])
+    res = solve_linear([z ** 2 - 1], ["z"])
+    assert res.nonlinear == [z ** 2 - 1]
+    assert res.solved == {} and res.residual == [] and res.free == ["z"]
+
+
+def test_solve_linear_sets_nonlinear_aside_in_input_order():
+    # the linear equations are still solved, and their residual is kept
+    # apart from the equations set aside
+    u, v, w, x = V("u"), V("v"), V("w"), V("x")
+    eqs = [u * v, u - x, w / u, v ** 2 - 1, u - 1]
+    res = solve_linear(eqs, ["u", "v", "w"])
+    assert res.nonlinear == [u * v, w / u, v ** 2 - 1]
+    assert res.solved == {"u": x}
+    assert res.residual == [x - 1]
+    assert res.free == ["v", "w"]
 
 
 def test_solve_linear_triangular_resolution():
