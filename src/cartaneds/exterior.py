@@ -255,8 +255,9 @@ class CoframeExpansion:
             raise CoframeDegenerate(
                 f"coframe has {len(coframe)} entries for a {len(names)}-dimensional chart")
         # implied by a successful back-substitution, whose coefficients are
-        # nonzero; kept while perfbench/layers.py requires random_rank to be
-        # reached (ROADMAP item 2)
+        # nonzero; one sample, as the matrix has full rank, and kept while
+        # perfbench/layers.py requires random_rank to be reached (ROADMAP
+        # item 2)
         matrix = [[f.terms.get((n,), ZERO) for n in names] for f in self.forms]
         if random_rank(matrix, seed=0) != len(names):
             raise CoframeDegenerate("coframe coefficient matrix is not of full rank")

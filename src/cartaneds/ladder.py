@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .scalars import NonLinearInUnknowns, Poly, Scalar, p_div_exact, p_is_const
+from .scalars import (NonLinearInUnknowns, Poly, Scalar, p_div_exact, p_gcd,
+                      p_is_const)
 from .exterior import Substitution
 from .hamilton import HamiltonLocus
 from .pfaffian import (CharacterVector, EmptyLocus, InvolutivityReport,
@@ -60,19 +61,22 @@ class ConstraintLadder:
 
 
 def _strip_factors(num: Poly, factors: Sequence[Scalar]) -> Poly:
-    """The nonzero numerator num with every nonconstant recorded factor
-    divided out as often as it divides.
+    """The nonzero numerator num with every irreducible factor it shares
+    with a nonconstant recorded factor divided out, as often as it divides.
 
-    Each division lowers the degree, so every loop ends; a factor that does
-    not divide num divides none of its quotients, so one pass suffices.
+    A recorded factor is nonzero, so each of its factors is: dividing by
+    g = gcd(num, f) until g is constant takes out every factor num shares
+    with f, whatever the order of the list, and f need not divide num.
+    Each division lowers the degree, so every loop ends; once num shares
+    nothing with f, no later quotient does, so one pass suffices.
     """
     for f in factors:
         if f.as_constant() is not None:
             continue
-        q = p_div_exact(num, f.num)
-        while q is not None:
-            num = q
-            q = p_div_exact(num, f.num)
+        g = p_gcd(num, f.num)
+        while not p_is_const(g):
+            num = p_div_exact(num, g)
+            g = p_gcd(num, g)
     return num
 
 

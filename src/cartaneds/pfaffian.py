@@ -9,8 +9,9 @@ d(pivot_a) = theta_a - sum_n g_a[n] dn, read off by back-substitution.
 Structure equations, the absorption system and the integral-element
 dimension are computed exactly, once per system; the absorption system goes
 to solve_rows as rows of tableau and torsion entries.  Only the polar
-codimensions behind the Cartan characters are ranks evaluated at
-seed-derived generic points.
+codimensions behind the Cartan characters are ranks sampled at
+seed-derived generic points, and the generic flag only when the coordinate
+flag does not already meet the integral-element dimension.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 from .scalars import (Chart, Dependent, LinearSolveResult, NonLinearInUnknowns,
                       ROLE_GRASSMANN, Scalar, SeedStream, ZERO, add_into,
-                      generic_ranks, p_div_exact, solve_linear, solve_rows)
+                      generic_ranks, p_div_exact, residue, solve_linear, solve_rows)
 from .exterior import (CoframeExpansion, Form, Substitution, contact_form,
                        identity_substitution)
 
@@ -288,11 +289,12 @@ def cartan_characters(se: StructureEquations, seed: int,
     vector, which is the flavor Cartan's test needs.  The two coincide
     whenever the coordinate flag is generic for the tableau.
 
-    Each sample draws the point, then the flag directions, and evaluates
-    only the nonzero tableau entries.  The polar rows of all m - 1 flag
-    directions are stacked once; the k-th polar space is the leading block
-    of its first k directions, exactly the rational matrix of that prefix,
-    so one rank_fractions call per sample yields every c_k.
+    Each sample draws the point, then the flag directions, and reduces
+    only the nonzero tableau entries modulo each prime it ranks by.  The
+    polar rows of all m - 1 flag directions are stacked once; the k-th
+    polar space is the leading block of its first k directions, exactly the
+    rational matrix of that prefix, so one rank_fractions call per sample
+    yields every c_k.
     """
     sys = se.system
     m, t, s0 = sys.m, se.t, se.s0
@@ -308,14 +310,23 @@ def cartan_characters(se: StructureEquations, seed: int,
             dirs = [[1 if i == k else 0 for i in range(m)] for k in range(max(m - 1, 0))]
         else:
             dirs = [[stream.fraction() for _ in range(m)] for _ in range(max(m - 1, 0))]
-        values = [(a, e, i, v.evaluate(point)) for a, e, i, v in entries]
-        rows = [{} for _ in range(s0 * (m - 1))]
-        for k, direction in enumerate(dirs):
-            for a, e, i, v in values:
-                if direction[i]:
-                    row = rows[s0 * k + a]
-                    row[e] = row.get(e, 0) + v * direction[i]
-        return rows, cuts
+
+        def reduce(p):
+            res = {n: residue(x, p) for n, x in point.items()}
+            values = [(a, e, i, v.residue(point, res, p)) for a, e, i, v in entries]
+            rows = [{} for _ in range(s0 * (m - 1))]
+            for k, direction in enumerate(dirs):
+                direction = [residue(x, p) for x in direction]
+                for a, e, i, v in values:
+                    if direction[i]:
+                        row = rows[s0 * k + a]
+                        old = row.get(e, 0)
+                        if v is None or old is None:   # p cannot reduce the entry
+                            row[e] = None
+                        else:
+                            row[e] = (old + v * direction[i]) % p
+            return rows
+        return reduce, cuts
 
     best = generic_ranks(polar_matrices, names, stream)
     codims = (s0,) + tuple(s0 + r for r in best)
@@ -360,13 +371,29 @@ def cartan_test(se: StructureEquations, seed: int) -> InvolutivityReport:
     polar rank or a non-generic flag only raises the sum, so a violated
     Cartan inequality means rank sampling is broken: an internal error,
     never retried.
+
+    The generic flag is sampled only when the coordinate flag does not
+    already meet the bound (the flag is then delta-regular; Seiler,
+    Involution, 2010, ch. 4).  With sums of the weighted characters,
+
+        dim A^(1) <= generic sum <= coordinate sum <= sampled coordinate sum,
+
+    since generic polar ranks are the largest of any flag and a sampled
+    rank only falls short.  Each sum is m t - (r_1 + ... + r_(m-1)) for the
+    polar ranks r_k of its flag, and each generic r_k is at least the
+    coordinate one, which is at least its sample; so when the two ends are
+    equal, every r_k agrees and the generic characters are the coordinate
+    ones.
     """
     if se.system.zero_forms:
         raise ValueError("cartan_test requires an empty zero-form list")
     torsion = essential_torsion(se)
     chars = cartan_characters(se, seed, flag="coordinate")
-    gen = cartan_characters(se, seed, flag="generic")
     pdim = prolongation_dim(se)
+    if pdim == chars.cartan_sum():
+        gen = chars
+    else:
+        gen = cartan_characters(se, seed, flag="generic")
     csum = gen.cartan_sum()
     if pdim > csum:
         raise ArithmeticError("Cartan inequality violated: rank sampling failed")

@@ -186,10 +186,13 @@ class ExprParser:
     def expr(self) -> Form:
         v = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
+                if v.degree != rhs.degree and v.terms and rhs.terms:
+                    raise ParseError(f"cannot add a {rhs.degree}-form to a {v.degree}-form",
+                                     self.line, pos + 1)
                 v = v + rhs if val == "+" else v - rhs
             else:
                 return v

@@ -14,6 +14,10 @@ Sparse rows of scalars (form terms, coframe expansions, the rows of a
 linear solve) never hold an explicit zero.  Every accumulation goes through
 add_into, which drops a key whose sum cancels, so code reading such a row
 never re-tests its entries for zero.
+
+Generic ranks are sampled at seeded rational points modulo two large primes;
+entries are reduced mod p straight from the rational draws, and sampling
+stops once every block has full rank (see generic_ranks).
 """
 
 from __future__ import annotations
@@ -173,6 +177,30 @@ def p_eval(a: Poly, point: Mapping[str, Fraction]) -> Fraction:
             v *= point[name] ** e
         total += v
     return total
+
+
+def residue(value, p: int) -> Optional[int]:
+    """A Fraction or int modulo p, or None when p divides its denominator."""
+    d = value.denominator
+    if d == 1:
+        return value.numerator % p
+    if d % p:
+        return value.numerator * pow(d, -1, p) % p
+    return None
+
+
+def _p_residue(a: Poly, point: Mapping[str, int], p: int) -> Optional[int]:
+    """a at a point of residues, modulo p, or None when p divides the
+    denominator of a coefficient."""
+    total = 0
+    for m, c in a.items():
+        v = residue(c, p)
+        if v is None:
+            return None
+        for name, e in m:
+            v = v * (point[name] if e == 1 else pow(point[name], e, p)) % p
+        total += v
+    return total % p
 
 
 def p_variables(a: Poly) -> set:
@@ -588,12 +616,31 @@ class Scalar:
     # -- calculus / substitution -------------------------------------------
 
     def partial(self, name: str) -> "Scalar":
+        """d/d(name) of a/b = (a'b - ab')/b^2, reduced by two small gcds.
+
+        For an irreducible q with b = q^k c: if q involves name, q divides
+        neither a, c nor q', so q^(k-1) exactly divides a'b - ab'
+        (characteristic 0); if not, q' = 0 and q^v divides it for some
+        v >= k ((x + 1 + xy)/(y^2 (x + 1)) gives y^3 for name x).  So
+        g1 = gcd(a'b - ab', b) takes out q^(k-1), respectively q^k, and
+        g2 = gcd((a'b - ab')/g1, g1) the min(v - k, k) factors q that b^2
+        still shares.  (b/g1)(b/g2) is primitive and positive-leading
+        (Gauss's lemma).
+        """
         dn = p_diff(self.num, name)
-        if p_is_one(self.den):
-            return Scalar(dn, None)
         dd = p_diff(self.den, name)
-        return Scalar(p_sub(p_mul(dn, self.den), p_mul(self.num, dd)),
-                      p_mul(self.den, self.den))
+        if not dd:
+            return Scalar(dn, self.den)
+        num = p_sub(p_mul(dn, self.den), p_mul(self.num, dd))
+        g1 = p_gcd(num, self.den)
+        if p_is_one(g1):
+            return Scalar(num, p_mul(self.den, self.den), _canonical=True)
+        num = p_div_exact(num, g1)
+        g2 = p_gcd(num, g1)
+        if not p_is_one(g2):
+            num = p_div_exact(num, g2)
+        return Scalar(num, p_mul(p_div_exact(self.den, g1), p_div_exact(self.den, g2)),
+                      _canonical=True)
 
     def substitute(self, bindings: Mapping[str, "Scalar"]) -> "Scalar":
         """Simultaneous substitution of names by scalars, then canonicalization."""
@@ -613,6 +660,22 @@ class Scalar:
         if d == 0:
             raise ZeroDivisionError("denominator vanished at the sample point")
         return p_eval(self.num, point) / d
+
+    def residue(self, point: Mapping[str, Fraction], residues: Mapping[str, int],
+                p: int) -> Optional[int]:
+        """The value at a rational point mod p, or None when p divides its
+        denominator; residues holds the point's coordinates mod p.
+
+        Numerator and denominator are evaluated with int arithmetic mod p.
+        When the denominator's residue is 0, or p divides a coefficient's
+        denominator, this entry alone is evaluated exactly, so a pole over
+        Q still raises ZeroDivisionError.
+        """
+        n = _p_residue(self.num, residues, p)
+        d = 1 if p_is_one(self.den) else _p_residue(self.den, residues, p)
+        if n is None or not d:
+            return residue(self.evaluate(point), p)
+        return n if d == 1 else n * pow(d, -1, p) % p
 
     # -- normalization for reporting ----------------------------------------
 
@@ -896,7 +959,7 @@ def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveRes
 _MASK64 = (1 << 64) - 1
 _PRIMES = ((1 << 61) - 1, (1 << 89) - 1)
 SAMPLE_BOUND = 10_000
-SAMPLES = 3                 # sample points per generic rank
+SAMPLES = 3                 # most sample points per generic rank
 
 
 class SeedStream:
@@ -925,15 +988,18 @@ def sample_point(names: Iterable[str], stream: SeedStream) -> dict:
     return {n: stream.fraction() for n in sorted(names)}
 
 
-def rank_fractions(rows: Sequence[Mapping[int, Fraction]], cuts: Sequence[int]) -> tuple:
+def rank_fractions(reduce: Callable[[int], Sequence[Mapping[int, Optional[int]]]],
+                   cuts: Sequence[int]) -> tuple:
     """Ranks of the leading blocks rows[:k], for k in cuts, of a sparse rational matrix.
 
-    A row maps a column to its entry; only the entries present are read, so
-    callers pass the nonzero ones.  One echelon pass modulo each of two large
-    primes yields the rank of every block, and each block takes the larger of
-    its two modular ranks (a modular rank never exceeds the rational one).
-    When the first prime already gives every block its row count, the most
-    any prime can give, the second is not run.
+    reduce(p) gives the rows modulo p: a row maps a column to the residue
+    of its entry, or to None where p divides the entry's denominator.  Only
+    the entries present are read, so callers pass the nonzero ones.  One
+    echelon pass modulo each of two large primes yields the rank of every
+    block, and each block takes the larger of its two modular ranks (a
+    modular rank never exceeds the rational one).  When the first prime
+    already gives every block its row count, the most any prime can give,
+    the second is neither reduced to nor run.
     A prime that divides the denominator of an entry still serves the blocks
     that end before that entry's row.  A block that no prime serves raises
     ZeroDivisionError, so that no matrix reads as rank 0 for want of a usable
@@ -941,7 +1007,7 @@ def rank_fractions(rows: Sequence[Mapping[int, Fraction]], cuts: Sequence[int]) 
     """
     best = [-1] * len(cuts)
     for p in _PRIMES:
-        for j, r in enumerate(_rank_mod(rows, cuts, p)):
+        for j, r in enumerate(_rank_mod(reduce(p), cuts, p)):
             best[j] = max(best[j], r)
         if best == list(cuts):
             break
@@ -951,21 +1017,16 @@ def rank_fractions(rows: Sequence[Mapping[int, Fraction]], cuts: Sequence[int]) 
 
 
 def _rank_mod(rows, cuts, p: int) -> list:
-    """Ranks modulo p of the leading blocks rows[:k], for the k in cuts that
-    end before the first row with an entry whose denominator p divides."""
+    """Ranks modulo p of the leading blocks rows[:k] of a matrix of residues
+    mod p, for the k in cuts that end before the first row with a None."""
     echelon: dict = {}  # least column of a reduced row -> the row, scaled to 1 there
     ranks = []
     done = 0
     for k in cuts:
         for row in rows[done:k]:
             red = {}
-            for c, v in row.items():
-                d = v.denominator
-                if d == 1:
-                    x = v.numerator % p
-                elif d % p:
-                    x = v.numerator * pow(d, -1, p) % p
-                else:
+            for c, x in row.items():
+                if x is None:
                     return ranks
                 if x:
                     red[c] = x
@@ -993,13 +1054,15 @@ def generic_ranks(matrices: Callable[[dict], tuple], names: Iterable[str],
     """Generic ranks of the leading blocks of a point-dependent rational matrix,
     by seeded sampling.
 
-    matrices(point) returns (rows, cuts) at a point drawn over names: the
-    sparse Fraction rows and the row counts of the leading blocks to rank,
-    which rank_fractions ranks in one pass per prime.  It may draw further
-    values from stream (flag directions).  A point where it or rank_fractions
-    raises ZeroDivisionError (a vanishing denominator) is redrawn, up to 8
-    times per sample.  The result is the componentwise maximum of the
-    block ranks over the SAMPLES samples.
+    matrices(point) returns (reduce, cuts) at a point drawn over names: the
+    rows mod p as rank_fractions takes them, and the row counts of the
+    leading blocks to rank.  matrices may draw further values from stream
+    (flag directions); reduce runs once per prime and must not.  A point
+    where either raises ZeroDivisionError (a vanishing denominator) is
+    redrawn, up to 8 times per sample.  The result is the componentwise
+    maximum of the block ranks over at most SAMPLES samples, stopping once
+    every block has its row count, which no sample could raise; each caller
+    has its own stream, so that shifts no other draw.
 
     The error is one-sided: a sampled rank never exceeds the generic rank r.
     A minor that vanishes identically vanishes at every point and modulo
@@ -1012,13 +1075,18 @@ def generic_ranks(matrices: Callable[[dict], tuple], names: Iterable[str],
     """
     best = None
     for _ in range(SAMPLES):
+        full = False
         for _retry in range(8):
             point = sample_point(names, stream)
             try:
-                got = rank_fractions(*matrices(point))
+                reduce, cuts = matrices(point)
+                got = rank_fractions(reduce, cuts)
             except ZeroDivisionError:
                 continue
             best = got if best is None else tuple(map(max, best, got))
+            full = best == tuple(cuts)
+            break
+        if full:
             break
     if best is None:
         raise AllSamplesDegenerate("every sample point hit a vanishing denominator")
@@ -1026,10 +1094,11 @@ def generic_ranks(matrices: Callable[[dict], tuple], names: Iterable[str],
 
 
 def random_rank(matrix: Sequence[Sequence[Scalar]], seed: int) -> int:
-    """Generic rank of a matrix of scalars: max exact rank over seeded samples.
+    """Generic rank of a matrix of scalars: max modular rank over seeded samples.
 
-    Only the nonzero entries are evaluated; a zero has denominator 1 and
-    could never make a sample point fail.
+    Only the nonzero entries are reduced; a zero has denominator 1 and
+    could never make a sample point fail.  A matrix of full row rank takes
+    one sample.
     """
     rows = [{j: c for j, c in enumerate(row) if not c.is_zero()} for row in matrix]
     names = set()
@@ -1037,8 +1106,11 @@ def random_rank(matrix: Sequence[Sequence[Scalar]], seed: int) -> int:
         for c in row.values():
             names |= c.variables()
 
-    def evaluated(point):
-        return [{j: c.evaluate(point) for j, c in row.items()} for row in rows], (len(rows),)
+    def sampled(point):
+        def reduce(p):
+            res = {n: residue(v, p) for n, v in point.items()}
+            return [{j: c.residue(point, res, p) for j, c in row.items()} for row in rows]
+        return reduce, (len(rows),)
 
-    (rank,) = generic_ranks(evaluated, names, SeedStream(seed))
+    (rank,) = generic_ranks(sampled, names, SeedStream(seed))
     return rank

@@ -161,10 +161,14 @@ multiplier = th : p*d(x)
      "expected ',' or ']' in index list"),
     (GRIFFITHS_PROBLEM.replace("p*d(x)", "g*d(x)"), "undeclared name 'g'"),
     (GRIFFITHS_PROBLEM.replace("p*d(x)", "p*d(x) + d(p)"), "d() of a new multiplier name"),
+    (fixture_text("saunders").replace("w_x*d(x) - w_y*d(y)", "w_x*d(x) - w_y"),
+     "cannot add a 0-form to a 1-form (line 16, col 17)"),
 ], ids=["explicit-without-theta", "metric-index-out-of-range",
-        "unclosed-multiplier-index", "multiplier-uses-builtin", "multiplier-differential"])
+        "unclosed-multiplier-index", "multiplier-uses-builtin", "multiplier-differential",
+        "generator-mixes-form-degrees"])
 def test_malformed_input_exit_65(tmp_path, capsys, text, message):
-    # the first three used to escape as KeyError/IndexError/ValueError (exit 70)
+    # the first three and the last used to escape as
+    # KeyError/IndexError/ValueError (exit 70)
     bad = tmp_path / "bad.prob"
     bad.write_text(text)
     code, out, err = run_cli(capsys, "analyze", str(bad))

@@ -193,6 +193,42 @@ def test_characters_rank_once_per_sample(reports, monkeypatch):
         assert len(calls) == scalars.SAMPLES
 
 
+def test_generic_flag_only_where_the_coordinate_flag_falls_short(reports, monkeypatch):
+    # maxwell's final tableau meets dim A^(1) on the coordinate flag, so the
+    # generic flag is not sampled; saunders' torsion step falls short of it
+    from cartaneds import pfaffian
+    se = structure_equations(reports("maxwell", ()).ladder.final_system)
+    calls = []
+    characters = pfaffian.cartan_characters
+    monkeypatch.setattr(pfaffian, "cartan_characters",
+                        lambda *a, **k: calls.append(k["flag"]) or characters(*a, **k))
+    rep = pfaffian.cartan_test(se, seed=0)
+    assert calls == ["coordinate"]
+    assert rep.characters_generic is rep.characters and rep.involutive
+    calls.clear()
+    ladder_test = ladder.cartan_test
+    tests = []
+
+    def counted(se, seed):
+        calls.clear()
+        rep = ladder_test(se, seed)
+        tests.append((bool(rep.torsion_essential), list(calls)))
+        return rep
+    monkeypatch.setattr(ladder, "cartan_test", counted)
+    analyze(parse_problem(fixture_text("saunders")))
+    assert tests[0] == (True, ["coordinate", "generic"])
+
+
+def test_maxwell_ladder_evaluates_no_scalar(monkeypatch):
+    # every sampled rank reduces its entries mod p; none needs the exact value
+    calls = []
+    evaluate = Scalar.evaluate
+    monkeypatch.setattr(Scalar, "evaluate",
+                        lambda self, point: calls.append(1) or evaluate(self, point))
+    assert analyze(parse_problem(fixture_text("maxwell"))).verdict == "involutive"
+    assert calls == []
+
+
 def scalar_absorption_equations(se):
     """The absorption system of se with each row packed into one Scalar over
     a common denominator, the encoding solve_linear splits again: the

@@ -199,6 +199,17 @@ def test_redundant_assumption_any_power(k):
     assert not redundant_assumption((y - 1) * y ** k, [y])
 
 
+def test_redundant_assumption_does_not_depend_on_list_order():
+    # x is a factor of a: once x is divided out, a itself no longer divides
+    # the quotient x^2 - y, but it still shares that factor with it
+    x, y = V("x"), V("y")
+    a = x ** 3 - x * y
+    assert redundant_assumption(a, [x, a])
+    assert redundant_assumption(a, [a, x])
+    assert redundant_assumption(a, [x * (y + 1), (x ** 2 - y) * (y + 2)])
+    assert not redundant_assumption(a, [x * (y + 1)])
+
+
 def test_ladder_replay_reaches_same_final_system():
     # imposing all recorded base constraints at once on the initial system
     # reaches the same terminal system

@@ -49,7 +49,7 @@ def brute_force_characters(sys, seed=23, mix="coordinate"):
     mix="coordinate" walks the element's adapted frame in order;
     mix="generic" takes random combinations of the frame vectors.
     """
-    from cartaneds.scalars import rank_fractions
+    from cartaneds.scalars import rank_fractions, residue
     chart = sys.chart
     names = list(chart.names)
     m = chart.m
@@ -102,7 +102,8 @@ def brute_force_characters(sys, seed=23, mix="coordinate"):
                     cond[na] += cv * v.get(nb, Fraction(0))
                     cond[nb] -= cv * v.get(na, Fraction(0))
                 rows.append({c: cond[n] for c, n in enumerate(names)})
-        return rank_fractions(rows, [len(rows)])[0]
+        return rank_fractions(lambda p: [{c: residue(v, p) for c, v in row.items()}
+                                         for row in rows], [len(rows)])[0]
     codims = [polar_rank(k) for k in range(m)]
     s = [codims[0]]
     for k in range(1, m):

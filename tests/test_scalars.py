@@ -10,7 +10,8 @@ from cartaneds.scalars import (_PRIMES, SAMPLES, AllSamplesDegenerate, Chart,
                                Dependent, DomainError, Scalar,
                                ONE, ZERO, SeedStream, generic_ranks, p_add, p_gcd,
                                _linear_split, add_into, p_leading, p_mul, p_sub,
-                               rank_fractions, random_rank, solve_linear, solve_rows)
+                               rank_fractions, random_rank, residue, sample_point,
+                               solve_linear, solve_rows)
 
 
 def V(name):
@@ -102,6 +103,49 @@ def test_partial_examples():
     ux, wx, vy = V("u_x"), V("w_x"), V("v_y")
     assert (ux * (wx + vy)).partial("u_x") == wx + vy
     assert (C(1) / y).partial("y") == C(-1) / (y ** 2)
+
+
+def test_partial_cancels_a_denominator_factor_free_of_the_variable():
+    # for a/b = (x + 1 + xy)/(y^2 (x + 1)), a'b - ab' = y^3: y does not
+    # involve x, and its multiplicity 3 exceeds the 2 that
+    # gcd(a'b - ab', b) = y^2 takes out of b^2
+    x, y = V("x"), V("y")
+    got = ((x + 1 + x * y) / (y ** 2 * (x + 1))).partial("x")
+    assert got == ONE / (y * (x + 1) ** 2)
+    assert_canonical(got)
+
+
+@st.composite
+def repeated_factor_quotient(draw):
+    """a/b over Q[x, y] with b a product of powers of one or two nonconstant
+    factors of degree at most 1 in each variable, built by the general
+    constructor."""
+    coeff = st.integers(-3, 3)
+
+    def poly():
+        total = C(0)
+        for _ in range(draw(st.integers(1, 3))):
+            total = total + Fraction(draw(coeff), draw(st.integers(1, 3))) \
+                * V("x") ** draw(st.integers(0, 1)) * V("y") ** draw(st.integers(0, 1))
+        return total
+
+    den = ONE
+    for _ in range(draw(st.integers(1, 2))):
+        factor = poly()
+        assume(factor.as_constant() is None)
+        den = den * factor ** draw(st.integers(1, 3))
+    return poly() / den
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_factor_quotient(), st.sampled_from("xy"))
+def test_partial_equals_canonicalization_from_scratch(s, name):
+    a, b = s.num, s.den
+    want = Scalar(p_sub(p_mul(scalars.p_diff(a, name), b), p_mul(a, scalars.p_diff(b, name))),
+                  p_mul(b, b))
+    got = s.partial(name)
+    assert got.num == want.num and got.den == want.den
+    assert_canonical(got)
 
 
 def test_substitute_examples():
@@ -421,6 +465,11 @@ def exact_rank(rows):
     return rank
 
 
+def mod_rows(rows):
+    """rank_fractions' input for rows of Fractions: their residues mod p."""
+    return lambda p: [{c: residue(v, p) for c, v in row.items()} for row in rows]
+
+
 def test_random_rank_identity():
     I3 = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
     assert random_rank(I3, seed=1) == 3
@@ -454,26 +503,88 @@ def test_random_rank_matches_exact_rank_on_rationals(rows):
     assert random_rank(scalars, seed=11) == exact_rank(rows)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_scalar(), small_scalar(), st.sampled_from(_PRIMES), st.integers(0, 2 ** 64 - 1))
+def test_residue_is_the_reduction_of_the_rational_value(a, b, p, seed):
+    assume(not b.is_zero())
+    s = a / b
+    assume(s.den != {(): 1})
+    point = sample_point("xyz", SeedStream(seed))
+    residues = {n: residue(v, p) for n, v in point.items()}
+    try:
+        value = s.evaluate(point)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            s.residue(point, residues, p)
+        return
+    assert s.residue(point, residues, p) == residue(value, p)
+
+
+def test_residue_falls_back_to_the_exact_value():
+    P1, P2 = _PRIMES
+    x, y = V("x"), V("y")
+
+    def at(s, p, **coords):
+        point = {n: Fraction(v) for n, v in coords.items()}
+        return s.residue(point, {n: residue(v, p) for n, v in point.items()}, p)
+
+    # a coefficient with denominator P1: the value decides, not the coefficient
+    s = x / P1 + 1
+    assert at(s, P1, x=P1) == 2
+    assert at(s, P1, x=3) is None
+    assert at(s, P2, x=3) == residue(Fraction(3, P1) + 1, P2)
+    # a denominator that P1 divides at the point: P1 cuts, P2 serves
+    t = ONE / (x - y)
+    assert at(t, P1, x=P1 + 1, y=1) is None
+    assert at(t, P2, x=P1 + 1, y=1) == residue(Fraction(1, P1), P2)
+    # a pole over Q raises for every prime
+    for p in _PRIMES:
+        with pytest.raises(ZeroDivisionError):
+            at(t, p, x=Fraction(1, 2), y=Fraction(1, 2))
+
+
+def test_a_point_on_a_pole_is_redrawn(monkeypatch):
+    x, y = V("x"), V("y")
+    points = iter([{"x": Fraction(1, 2), "y": Fraction(1, 2)},
+                   {"x": Fraction(_PRIMES[0] + 1), "y": Fraction(1)}])
+    monkeypatch.setattr(scalars, "sample_point", lambda names, stream: next(points))
+    assert random_rank([[ONE / (x - y)]], seed=0) == 1
+    assert next(points, None) is None
+
+
+def test_sampling_stops_at_full_rank(monkeypatch):
+    calls = []
+    rank = scalars.rank_fractions
+    monkeypatch.setattr(scalars, "rank_fractions", lambda *a: calls.append(1) or rank(*a))
+    x = V("x")
+    assert random_rank([[x, ONE], [ONE, x]], seed=2) == 2
+    assert len(calls) == 1
+    calls.clear()
+    assert random_rank([[x, x], [ONE, ONE]], seed=3) == 1
+    assert len(calls) == SAMPLES
+
+
 def test_no_usable_prime_is_not_rank_zero():
     # a rank-2 matrix whose entries have a denominator divisible by both primes
     P1, P2 = _PRIMES
     f = Fraction(1, P1 * P2)
     bad = [{0: f}, {1: f}]
     with pytest.raises(ZeroDivisionError):
-        rank_fractions(bad, [2])
+        rank_fractions(mod_rows(bad), [2])
     with pytest.raises(AllSamplesDegenerate):
         random_rank([[C(f), ZERO], [ZERO, C(f)]], seed=0)
     # the sampling kernel redraws such a point instead of counting it
     good = [{0: Fraction(1)}, {1: Fraction(1)}]
     draws = iter([bad, bad] + [good] * SAMPLES)
-    assert generic_ranks(lambda point: (next(draws), [2]), [], SeedStream(0)) == (2,)
+    assert generic_ranks(lambda point: (mod_rows(next(draws)), [2]), [], SeedStream(0)) == (2,)
 
 
 def test_generic_ranks_keep_each_block_at_its_best_sample():
     # every sampled block rank can only fall short, so each block keeps its
     # largest sample: (3, 4) and (2, 5) give (3, 5), not the larger tuple
     unit = [{c: Fraction(1)} for c in range(5)]
-    samples = [(unit[:4], [3, 4]), (unit[:2] + [unit[0]] + unit[2:], [3, 6])]
+    samples = [(mod_rows(unit[:4] + unit[:2]), [3, 6]),
+               (mod_rows(unit[:2] + [unit[0]] + unit[2:]), [3, 6])]
     assert [rank_fractions(*m) for m in samples] == [(3, 4), (2, 5)]
     draws = iter(samples * SAMPLES)
     assert generic_ranks(lambda point: next(draws), [], SeedStream(0)) == (3, 5)
@@ -500,7 +611,8 @@ def _dense(rows):
 @given(sparse_blocks())
 def test_prefix_ranks_match_exact_rank(case):
     rows, cuts = case
-    assert rank_fractions(rows, cuts) == tuple(exact_rank(_dense(rows[:k])) for k in cuts)
+    assert rank_fractions(mod_rows(rows), cuts) == tuple(exact_rank(_dense(rows[:k]))
+                                                         for k in cuts)
 
 
 @settings(max_examples=100, deadline=None)
@@ -513,7 +625,8 @@ def test_prefix_ranks_survive_a_row_one_prime_divides(case, data):
     at = data.draw(st.integers(0, len(rows)))
     rows = rows[:at] + [{0: Fraction(1, P1)}] + rows[at:]
     cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), min_size=1, max_size=4)))
-    assert rank_fractions(rows, cuts) == tuple(exact_rank(_dense(rows[:k])) for k in cuts)
+    assert rank_fractions(mod_rows(rows), cuts) == tuple(exact_rank(_dense(rows[:k]))
+                                                         for k in cuts)
 
 
 @settings(max_examples=100, deadline=None)
@@ -526,9 +639,11 @@ def test_no_prime_for_a_later_block_raises(case, data):
     at = data.draw(st.integers(0, len(rows)))
     rows = rows[:at] + [{0: Fraction(1, P1 * P2)}] + rows[at:]
     before = [k for k in cuts if k <= at]
-    assert rank_fractions(rows, before) == tuple(exact_rank(_dense(rows[:k])) for k in before)
+    assert rank_fractions(mod_rows(rows), before) == tuple(exact_rank(_dense(rows[:k]))
+                                                           for k in before)
     with pytest.raises(ZeroDivisionError):
-        rank_fractions(rows, sorted(cuts + [data.draw(st.integers(at + 1, len(rows)))]))
+        rank_fractions(mod_rows(rows),
+                       sorted(cuts + [data.draw(st.integers(at + 1, len(rows)))]))
 
 
 def test_second_prime_only_when_a_block_falls_short(monkeypatch):
@@ -537,11 +652,11 @@ def test_second_prime_only_when_a_block_falls_short(monkeypatch):
     monkeypatch.setattr(scalars, "_rank_mod",
                         lambda rows, cuts, p: passes.append(p) or rank_mod(rows, cuts, p))
     identity = [{i: Fraction(1)} for i in range(100)]
-    assert rank_fractions(identity, [50, 100]) == (50, 100)
+    assert rank_fractions(mod_rows(identity), [50, 100]) == (50, 100)
     assert len(passes) == 1
     passes.clear()
     deficient = identity[:99] + [{0: Fraction(3)}]
-    assert rank_fractions(deficient, [50, 100]) == (50, 99)
+    assert rank_fractions(mod_rows(deficient), [50, 100]) == (50, 99)
     assert len(passes) == 2
 
 
@@ -558,12 +673,16 @@ def test_random_rank_evaluates_only_nonzero_entries(monkeypatch):
         if i + 7 < n:
             matrix[i][i + 7] = x - i
     nnz = sum(not c.is_zero() for row in matrix for c in row)
-    calls = []
-    evaluate = Scalar.evaluate
+    calls, reduced = [], []
+    evaluate, reduce = Scalar.evaluate, Scalar.residue
     monkeypatch.setattr(Scalar, "evaluate",
                         lambda self, point: calls.append(1) or evaluate(self, point))
+    monkeypatch.setattr(Scalar, "residue",
+                        lambda self, *a: reduced.append(1) or reduce(self, *a))
     assert random_rank(matrix, seed=4) == n
     assert len(calls) <= SAMPLES * nnz
+    # full rank: one sample at one prime, and no exact value needed
+    assert len(reduced) == nnz and not calls
 
 
 # ---------------------------------------------------------------------------
