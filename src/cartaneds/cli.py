@@ -7,11 +7,12 @@
 
 Exit codes: 0 involutive, 1 empty locus, 2 needs-user-branch,
 3 budget exceeded, 64 usage (including a budget below 1),
-65 parse/validation error, 70 internal error (degenerate rank sampling or
-coframe, a nonlinear Pfaffian, a violated Cartan inequality, a colliding
-prolongation coordinate name, or any other unexpected exception), 73 the
---out file cannot be created (its directory is checked before the analysis
-runs).  Exits 65, 70 and 73 print one `error:` line.
+65 parse/validation error (including a problem file that cannot be read or
+is not UTF-8), 70 internal error (degenerate rank sampling, generators out
+of reduced form, a nonlinear Pfaffian, a violated Cartan inequality, a
+colliding prolongation coordinate name, or any other unexpected exception),
+73 the --out file cannot be created (its directory is checked before the
+analysis runs).  Exits 65, 70 and 73 print one `error:` line.
 """
 
 from __future__ import annotations
@@ -85,10 +86,12 @@ def cmd_analyze(args) -> int:
     texts = []
     for f in args.files:
         path = Path(f)
-        if path.exists():
-            texts.append(path.read_text())
-        else:
+        if not path.exists():
             raise ParseError(f"no such problem file: {f}")
+        try:
+            texts.append(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as err:
+            raise ParseError(f"cannot read problem file {f}: {getattr(err, 'strerror', None) or err}")
     reports = [analyze(parse_problem(text, param_overrides=overrides), seed=args.seed,
                        max_prolongations=args.max_prolong, max_steps=args.max_steps)
                for text in texts]

@@ -16,7 +16,8 @@ from .scalars import Chart, Scalar, ZERO, ONE, add_into, p_is_one, random_rank
 
 
 class CoframeDegenerate(ValueError):
-    """A claimed coframe fails the pointwise full-rank check."""
+    """Generators are not in reduced form, or their coframe fails the
+    full-rank check."""
 
 
 def _sort_with_sign(names: Sequence[str], chart: Chart):
@@ -233,70 +234,49 @@ def identity_substitution(chart: Chart) -> Substitution:
 # ---------------------------------------------------------------------------
 
 class CoframeExpansion:
-    """Expansion of coordinate differentials in a full coframe.
+    """Expansion of coordinate differentials modulo the generators of a
+    reduced Pfaffian system.
 
-    The coframe must be triangular: in some order, each form adds exactly
-    one coordinate differential to those of the forms before it.  The
-    coframe (theta, omega, pi) of a reduced Pfaffian system is, with
-    d(x_i) = omega_i, d(n_e) = pi_e and then
-    d(pivot_a) = theta_a - sum_n g_a[n] dn.  The inverse is read off by
-    back-substitution, and any form can then be rewritten in the coframe's
-    wedge basis exactly.  A coframe that is not of full rank at a seeded
-    sample point, or not triangular, raises CoframeDegenerate.
+    Each generator theta_a has a unit at its own pivot coordinate and no
+    term at any other pivot, so modulo the generators
+    d(pivot_a) = -sum_c g_a[c] dc over the non-pivot coordinates c, and
+    d(c) is its own label.  The labels are the non-pivot coordinates in
+    chart order: the independents (omega), then the complement (pi).  A
+    generator out of reduced form, or a pivot shared by two generators,
+    raises CoframeDegenerate.
     """
 
-    def __init__(self, chart: Chart, coframe: Sequence[tuple]):
-        # coframe entries: (label, Form of degree 1)
-        self.chart = chart
-        self.labels = [lab for lab, _ in coframe]
-        self.forms = [f for _, f in coframe]
-        names = list(chart.names)
-        if len(coframe) != len(names):
-            raise CoframeDegenerate(
-                f"coframe has {len(coframe)} entries for a {len(names)}-dimensional chart")
-        # implied by a successful back-substitution, whose coefficients are
-        # nonzero; one sample, as the matrix has full rank, and kept while
-        # perfbench/layers.py requires random_rank to be reached (ROADMAP
-        # item 2)
-        matrix = [[f.terms.get((n,), ZERO) for n in names] for f in self.forms]
+    def __init__(self, chart: Chart, generators: Sequence[Form], pivots: Sequence[str]):
+        taken = set(pivots)
+        if len(taken) != len(pivots):
+            raise CoframeDegenerate("each generator needs a pivot of its own")
+        self.labels = [n for n in chart.names if n not in taken]
+        label = {n: k for k, n in enumerate(self.labels)}
+        # coords[name] = list of (label index, Scalar): d(name) = sum c * d(label)
+        self.coords = {n: [(k, ONE)] for n, k in label.items()}
+        for g, p in zip(generators, pivots):
+            if g.terms.get((p,)) != ONE:
+                raise CoframeDegenerate(f"generator {g} has no unit at its pivot {p}")
+            row = []
+            for (n,), c in g.terms.items():
+                if n in label:
+                    row.append((label[n], -c))
+                elif n != p:
+                    raise CoframeDegenerate(f"generator {g} has a term at the pivot {n}")
+            self.coords[p] = sorted(row)
+        # implied by the reduced form, whose matrix is unit triangular up to
+        # a permutation of columns; one sample, as the matrix has full rank,
+        # and kept while perfbench/layers.py requires random_rank to be
+        # reached (ROADMAP item 1)
+        names = chart.names
+        matrix = [[g.terms.get((n,), ZERO) for n in names] for g in generators]
+        matrix += [[ONE if n == c else ZERO for n in names] for c in self.labels]
         if random_rank(matrix, seed=0) != len(names):
             raise CoframeDegenerate("coframe coefficient matrix is not of full rank")
-        # coords[name] = list of (label index, Scalar): d(name) = sum c * coframe_r
-        self.coords = self._back_substitute()
-
-    def _back_substitute(self):
-        """d of each coordinate in the coframe, by back-substitution.
-
-        A form is used once every coordinate in it but one has been
-        expressed; it then gives d of that last coordinate.
-        """
-        rows = [{idx[0]: c for idx, c in f.terms.items()} for f in self.forms]
-        coords: dict = {}
-        pending = list(range(len(rows)))
-        while pending:
-            waiting = []
-            for j in pending:
-                left = [n for n in rows[j] if n not in coords]
-                if len(left) != 1:
-                    waiting.append(j)
-                    continue
-                (name,) = left
-                inv = ONE / rows[j][name]
-                acc = {j: inv}
-                for n, c in rows[j].items():
-                    if n == name:
-                        continue
-                    f = -(c * inv)
-                    for i, v in coords[n].items():
-                        add_into(acc, i, f * v)
-                coords[name] = acc
-            if len(waiting) == len(pending):
-                raise CoframeDegenerate("coframe is not triangular")
-            pending = waiting
-        return {n: sorted(acc.items()) for n, acc in coords.items()}
 
     def expand_two_form(self, f: Form) -> dict:
-        """Coefficients over ordered label pairs (i < j) of the coframe wedge basis."""
+        """Coefficients over ordered label pairs (i < j) of the wedge basis
+        of the labels, modulo the generators."""
         out: dict = {}
         for (na, nb), coef in f.terms.items():
             for ja, ca in self.coords[na]:

@@ -3,9 +3,10 @@ machinery of the Cartan algorithm.
 
 A system carries 1-form generators kept in reduced form: each generator has a
 designated fiber pivot coordinate with unit coefficient, distinct across
-generators.  The complement coframe is then simply the differentials of the
-remaining fiber coordinates, and (theta, omega, pi) is a triangular coframe:
-d(pivot_a) = theta_a - sum_n g_a[n] dn, read off by back-substitution.
+generators, and no term at any other pivot.  The complement coframe is then
+simply the differentials of the remaining fiber coordinates, and modulo the
+generators d(pivot_a) = -sum_n g_a[n] dn over the non-pivot coordinates n,
+so the structure equations are read off the reduced form itself.
 Structure equations, the absorption system and the integral-element
 dimension are computed exactly, once per system; the absorption system goes
 to solve_rows as rows of tableau and torsion entries.  Only the polar
@@ -17,7 +18,7 @@ flag does not already meet the integral-element dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .scalars import (Chart, Dependent, LinearSolveResult, NonLinearInUnknowns,
                       ROLE_GRASSMANN, Scalar, SeedStream, ZERO, add_into,
@@ -50,16 +51,6 @@ class PfaffianSystem:
     def complement(self) -> list:
         taken = set(self.pivots)
         return [d.name for d in self.chart.dependent if d.name not in taken]
-
-    def coframe(self) -> list:
-        labels = []
-        for a, g in enumerate(self.generators):
-            labels.append((("th", a), g))
-        for i, n in enumerate(self.chart.independent):
-            labels.append((("om", i), Form.differential(self.chart, n)))
-        for e, n in enumerate(self.complement):
-            labels.append((("pi", e), Form.differential(self.chart, n)))
-        return labels
 
     def __repr__(self):
         return (f"PfaffianSystem(m={self.m}, generators={len(self.generators)}, "
@@ -156,9 +147,12 @@ class StructureEquations:
     system: PfaffianSystem
     tableau: dict             # (a, e, i) -> Scalar, for  A^a_{ei} pi^e /\ om^i
     torsion_raw: dict         # (a, i, j) i<j -> Scalar
-    complement: list          # coordinate names of the pi's (or synthetic labels)
     absorption: LinearSolveResult  # the absorption system, solved for the slopes
     slopes: dict              # (e, i) -> name of the omega^i-slope of pi^e
+
+    @property
+    def complement(self) -> list:
+        return self.system.complement
 
     @property
     def s0(self) -> int:
@@ -173,47 +167,29 @@ class StructureEquations:
         return self.system.m
 
 
-def structure_equations(sys: PfaffianSystem,
-                        complement_forms: Optional[Sequence] = None) -> StructureEquations:
+def structure_equations(sys: PfaffianSystem) -> StructureEquations:
     """Exact tableau and raw torsion of dtheta^a modulo the generators,
-    with the absorption system solved once for everything read off it.
-
-    complement_forms optionally overrides the default coordinate-differential
-    complement (same names, shifted by horizontal terms); used to check that
-    essential torsion does not depend on that choice.
-    """
-    chart = sys.chart
-    cof = sys.coframe()
-    names = sys.complement
-    if complement_forms is not None:
-        base = [(lab, f) for lab, f in cof if lab[0] != "pi"]
-        cof = base + [(("pi", e), f) for e, (_, f) in enumerate(complement_forms)]
-        names = [n for n, _ in complement_forms]
-    exp = CoframeExpansion(chart, cof)
+    with the absorption system solved once for everything read off it."""
+    m = sys.m
+    exp = CoframeExpansion(sys.chart, sys.generators, sys.pivots)
     tableau: dict = {}
     torsion: dict = {}
     for a, g in enumerate(sys.generators):
-        two = exp.expand_two_form(g.d())
-        # labels run theta, omega, pi and keys satisfy ra < rb, so a pair
-        # is (th, *), (om, om), (om, pi) or (pi, pi)
-        for (ra, rb), c in two.items():
-            la, lb = exp.labels[ra], exp.labels[rb]
-            if la[0] == "th":
-                continue
-            if lb[0] == "om":
-                torsion[(a, la[1], lb[1])] = c
-            elif la[0] == "om":
-                tableau[(a, lb[1], la[1])] = -c
+        # labels run omega (below m), then pi, and keys satisfy i < j, so a
+        # pair is (om, om), (om, pi) or (pi, pi)
+        for (i, j), c in exp.expand_two_form(g.d()).items():
+            if j < m:
+                torsion[(a, i, j)] = c
+            elif i < m:
+                tableau[(a, j - m, i)] = -c
             else:
                 raise NotLinearPfaffian(f"pi/\\pi term with coefficient {c} in d(theta_{a})")
-    rows, unknowns, slopes = _absorption_system(sys, names, tableau, torsion)
+    rows, unknowns, slopes = _absorption_system(sys, tableau, torsion)
     return StructureEquations(system=sys, tableau=tableau, torsion_raw=torsion,
-                              complement=list(names),
                               absorption=solve_rows(rows, unknowns), slopes=slopes)
 
 
-def _absorption_system(sys: PfaffianSystem, complement: Sequence[str],
-                       tableau: dict, torsion: dict):
+def _absorption_system(sys: PfaffianSystem, tableau: dict, torsion: dict):
     """The inhomogeneous linear system for integral elements over a point,
     as solve_rows rows.
 
@@ -227,6 +203,7 @@ def _absorption_system(sys: PfaffianSystem, complement: Sequence[str],
     coordinate names the worked character ladders are calibrated against).
     """
     m = sys.m
+    complement = sys.complement
     rows = []
     unknowns = []
     uname = {}
@@ -414,12 +391,12 @@ def prolong(se: StructureEquations):
     (level + 1) coordinates; solved slopes are substituted into the new
     contact forms.  Returns (system, added_coordinate_names).
     """
-    sys, res, uname = se.system, se.absorption, se.slopes
+    sys, res, uname, complement = se.system, se.absorption, se.slopes, se.complement
     if res.residual:
         raise ValueError("cannot prolong: essential torsion present")
     chart = sys.chart
     new_deps = []
-    for e, en in enumerate(se.complement):
+    for e, en in enumerate(complement):
         lvl = chart.level_of(en) + 1
         for i, xn in enumerate(chart.independent):
             n = uname[(e, i)]
@@ -435,19 +412,19 @@ def prolong(se: StructureEquations):
         return Scalar.var(n)
 
     contact = [contact_form(new_chart, en, [slope(e, i) for i in range(chart.m)])
-               for e, en in enumerate(se.complement)]
+               for e, en in enumerate(complement)]
     # the new pivots are the complement directions: clear the old generators
     # there, so that the output stays in reduced form
     gens = []
     for g in sys.generators:
         g = Form(new_chart, 1, g.terms)
-        for en, th in zip(se.complement, contact):
+        for en, th in zip(complement, contact):
             c = g.terms.get((en,))
             if c is not None:
                 g = g - th.scale(c)
         gens.append(g)
     out = PfaffianSystem(chart=new_chart, generators=gens + contact,
-                         pivots=sys.pivots + se.complement,
+                         pivots=sys.pivots + complement,
                          zero_forms=[], assumptions=_dedupe(sys.assumptions + res.assumptions))
     return out, [d.name for d in new_deps]
 

@@ -224,6 +224,8 @@ class ExprParser:
             e = self.exponent()
             if v.degree != 0:
                 raise ParseError("only degree-0 expressions take powers", self.line, pos + 1)
+            if e < 0 and v.is_zero():
+                raise ParseError("division by zero", self.line, pos + 1)
             return Form.scalar(self.ctx.chart, v.as_scalar() ** e)
         return v
 

@@ -3,17 +3,16 @@
 analyze() runs a parsed problem through the Lepage build, the Hamilton locus
 and the constraint ladder; emit() renders the result as human-readable text
 or as a frozen-schema JSON object.  Emission is byte-identical for a fixed
-problem and seed (timing is carried on the document but never emitted).
+problem and seed.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .hamilton import (VariationalProblem, build_lepage_classical,
+from .hamilton import (LepageSpace, VariationalProblem, build_lepage_classical,
                        build_lepage_explicit, build_lepage_griffiths,
                        grassmann_extend, hamilton_equations,
                        solve_hamilton_locus)
@@ -29,28 +28,17 @@ class ReportDocument:
     verdict: str
     steps: list                   # frozen per-step dicts
     final_generators: list
-    timing: float = 0.0           # seconds; never emitted
     ladder: Optional[ConstraintLadder] = None
-    hamilton_locus: object = None
-    lepage: object = None
 
 
 def analyze(doc: ProblemDocument, seed: Optional[int] = None,
             max_prolongations: Optional[int] = None,
             max_steps: Optional[int] = None) -> ReportDocument:
     """Deterministic end-to-end analysis of a problem document."""
-    t0 = time.monotonic()
     seed = doc.seed if seed is None else seed
     maxp = doc.max_prolongations if max_prolongations is None else max_prolongations
     maxs = doc.max_steps if max_steps is None else max_steps
-    vp = VariationalProblem(chart=doc.chart, lagrangian=doc.lagrangian,
-                            generators=doc.generators)
-    if doc.mode == "classical":
-        ls = build_lepage_classical(vp, doc.momenta)
-    elif doc.mode == "griffiths":
-        ls = build_lepage_griffiths(vp, doc.multiplier_shapes)
-    else:
-        ls = build_lepage_explicit(doc.chart, doc.theta)
+    ls = lepage_space(doc)
     gchart = grassmann_extend(ls)
     eqs = hamilton_equations(ls, gchart)
     try:
@@ -58,16 +46,24 @@ def analyze(doc: ProblemDocument, seed: Optional[int] = None,
     except EmptyLocus:
         problem = _problem_echo(doc, None, ls)
         return ReportDocument(problem=problem, seed=seed, verdict="empty",
-                              steps=[], final_generators=[],
-                              timing=time.monotonic() - t0, lepage=ls)
+                              steps=[], final_generators=[])
     lad = run_ladder(hl, seed, max_prolongations=maxp, max_steps=maxs)
     steps = _steps_payload(lad)
     problem = _problem_echo(doc, hl, ls)
     final = [str(g) for g in lad.final_system.generators] if lad.final_system else []
     return ReportDocument(problem=problem, seed=seed, verdict=lad.verdict,
-                          steps=steps, final_generators=final,
-                          timing=time.monotonic() - t0, ladder=lad,
-                          hamilton_locus=hl, lepage=ls)
+                          steps=steps, final_generators=final, ladder=lad)
+
+
+def lepage_space(doc: ProblemDocument) -> LepageSpace:
+    """The Lepage space of a problem document, built as its mode says."""
+    if doc.mode == "explicit":
+        return build_lepage_explicit(doc.chart, doc.theta)
+    vp = VariationalProblem(chart=doc.chart, lagrangian=doc.lagrangian,
+                            generators=doc.generators)
+    if doc.mode == "classical":
+        return build_lepage_classical(vp, doc.momenta)
+    return build_lepage_griffiths(vp, doc.multiplier_shapes)
 
 
 def _problem_echo(doc: ProblemDocument, hl, ls) -> dict:

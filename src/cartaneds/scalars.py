@@ -10,10 +10,10 @@ a monomial is a sorted tuple of ``(name, exponent)`` pairs.  The monomial
 order is graded lexicographic over name-sorted variables, which is chart
 independent and deterministic.
 
-Sparse rows of scalars (form terms, coframe expansions, the rows of a
-linear solve) never hold an explicit zero.  Every accumulation goes through
-add_into, which drops a key whose sum cancels, so code reading such a row
-never re-tests its entries for zero.
+Sparse rows of scalars (form terms, two-form expansions modulo the
+generators, the rows of a linear solve) never hold an explicit zero.  Every
+accumulation goes through add_into, which drops a key whose sum cancels, so
+code reading such a row never re-tests its entries for zero.
 
 Generic ranks are sampled at seeded rational points modulo two large primes;
 entries are reduced mod p straight from the rational draws, and sampling

@@ -17,7 +17,7 @@ from cartaneds.cli import fixture_text
 from cartaneds.hamilton import DegreeMismatch, residual_check
 from cartaneds.pfaffian import cartan_test, structure_equations
 from cartaneds.problems import parse_problem
-from cartaneds.report import analyze, emit
+from cartaneds.report import analyze, emit, lepage_space
 from cartaneds.scalars import Scalar
 
 
@@ -133,7 +133,7 @@ def test_criterion_04_sundermeyer_case_2b():
 def test_criterion_05_maxwell():
     rep, secs = run_fixture("maxwell")
     assert rep.verdict == "involutive"
-    hl = rep.hamilton_locus
+    hl = rep.ladder.hamilton
     g = {1: Fraction(-1), 2: Fraction(1), 3: Fraction(1), 4: Fraction(1)}
     pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
     # P proportional to F with one common derived constant
@@ -169,7 +169,7 @@ def test_criterion_05_maxwell():
 
 def test_criterion_06_integrability():
     rep, secs = run_fixture("integrability")
-    hl = rep.hamilton_locus
+    hl = rep.ladder.hamilton
     b = hl.solved.bindings
     assert b["Zu_y"].is_zero()
     assert (V("y") * V("Zu_x") + V("Zu_z")).substitute(b).is_zero()
@@ -222,7 +222,7 @@ def test_criterion_07_final_characters_as_printed():
 def test_criterion_08_field_prolongation():
     rep, secs = run_fixture("field-prolongation")
     assert rep.verdict == "involutive"
-    hl = rep.hamilton_locus
+    hl = rep.ladder.hamilton
     y = V("y")
     legendre = [V("At") - V("u_t"), V("Ax") - y * V("u_x"), V("Ay") - V("v_y"),
                 V("By") - V("u_y"), V("Bt"), V("Bx"), V("Ct"), V("Cx"), V("Cy")]
@@ -249,7 +249,7 @@ def test_criterion_08_field_prolongation():
 def test_criterion_09_affine():
     rep, secs = run_fixture("affine")
     assert rep.verdict == "involutive"
-    hl = rep.hamilton_locus
+    hl = rep.ladder.hamilton
     assert hl.base_constraints == [V("y1") - V("y2")]
     zero_steps = steps_of_kind(rep, "zero_forms")
     assert zero_steps[0].new_fiber_constraints == [V("Zy1_x1") - V("Zy2_x1"),
@@ -261,7 +261,7 @@ def test_criterion_09_affine():
 def test_criterion_10_saunders():
     rep, secs = run_fixture("saunders")
     assert rep.verdict == "involutive"
-    hl = rep.hamilton_locus
+    hl = rep.ladder.hamilton
     for expr in (V("u_x") + V("n"), V("w_x") + V("v_y") + V("q"),
                  V("p"), V("s"), V("m"), V("r") + V("n")):
         assert expr.substitute(hl.solved.bindings).is_zero()
@@ -294,7 +294,9 @@ def test_criterion_11_property_suites():
                 ("affine", {}), ("saunders", {})]
     for name, params in fixtures:
         rep, _ = run_fixture(name, **params)
-        assert residual_check(rep.hamilton_locus, rep.lepage), name
+        doc = parse_problem(fixture_text(name),
+                            param_overrides={k: Fraction(v) for k, v in params.items()})
+        assert residual_check(rep.ladder.hamilton, lepage_space(doc)), name
         report = cartan_test(structure_equations(rep.ladder.final_system), seed=rep.seed)
         assert report.involutive
         assert report.prolongation_dim == report.cartan_sum

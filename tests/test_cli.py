@@ -163,12 +163,17 @@ multiplier = th : p*d(x)
     (GRIFFITHS_PROBLEM.replace("p*d(x)", "p*d(x) + d(p)"), "d() of a new multiplier name"),
     (fixture_text("saunders").replace("w_x*d(x) - w_y*d(y)", "w_x*d(x) - w_y"),
      "cannot add a 0-form to a 1-form (line 16, col 17)"),
+    (fixture_text("sundermeyer").replace("= 1/2*v1^2", "= (alpha-1)^-2*v1 + 1/2*v1^2"),
+     "division by zero (line 12, col 10)"),
+    (fixture_text("sundermeyer").replace("= 1/2*v1^2", "= (q1-q1)^-1 + 1/2*v1^2"),
+     "division by zero (line 12, col 8)"),
 ], ids=["explicit-without-theta", "metric-index-out-of-range",
         "unclosed-multiplier-index", "multiplier-uses-builtin", "multiplier-differential",
-        "generator-mixes-form-degrees"])
+        "generator-mixes-form-degrees", "zero-parameter-to-negative-power",
+        "zero-to-negative-power"])
 def test_malformed_input_exit_65(tmp_path, capsys, text, message):
-    # the first three and the last used to escape as
-    # KeyError/IndexError/ValueError (exit 70)
+    # the first three, the last but two and the last two used to escape as
+    # KeyError/IndexError/ValueError/DomainError (exit 70)
     bad = tmp_path / "bad.prob"
     bad.write_text(text)
     code, out, err = run_cli(capsys, "analyze", str(bad))
@@ -176,6 +181,20 @@ def test_malformed_input_exit_65(tmp_path, capsys, text, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_problem_file_exit_65(tmp_path, capsys, kind):
+    # both used to escape as IsADirectoryError/UnicodeDecodeError (exit 70)
+    path = tmp_path / "bad.prob"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(fixture_text("maxwell").encode("utf-8") + b"# \xff\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 65
+    assert out == ""
+    assert err.startswith(f"error: cannot read problem file {path}: ") and err.count("\n") == 1
 
 
 TORSION_X_PROBLEM = """[chart]
@@ -312,7 +331,6 @@ def test_structured_round_trip_and_schema():
 def test_timing_not_emitted():
     doc = parse_problem(fixture_text("affine"))
     rep = analyze(doc)
-    assert rep.timing > 0
     assert b"timing" not in emit(rep, "structured")
     assert b"timing" not in emit(rep, "text")
 

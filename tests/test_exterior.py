@@ -195,57 +195,51 @@ def test_form_terms_hold_no_zero_coefficient(a, b):
 
 
 # ---------------------------------------------------------------------------
-# coframe coefficients
+# expansion modulo the generators of a reduced system
 # ---------------------------------------------------------------------------
 
 CH1 = Chart(["x"], [Dependent("u"), Dependent("p")])
 TH = Form.differential(CH1, "u") - Form.differential(CH1, "x").scale(Scalar.var("p"))
-COFRAME = [("th", TH), ("dx", Form.differential(CH1, "x")),
-           ("dp", Form.differential(CH1, "p"))]
 
 
-def two_form_coefficients(a, coframe):
-    exp = CoframeExpansion(a.chart, coframe)
+def two_form_coefficients(a, generators=(), pivots=()):
+    exp = CoframeExpansion(a.chart, generators, pivots)
     return {(exp.labels[i], exp.labels[j]): c for (i, j), c in exp.expand_two_form(a).items()}
 
 
 def test_coefficients_examples():
+    assert two_form_coefficients(D("x").wedge(D("y"))) == {("x", "y"): ONE}
+    # du = p dx modulo TH
+    exp = CoframeExpansion(CH1, [TH], ["u"])
+    assert exp.labels == ["x", "p"]
+    assert exp.coords["u"] == [(0, Scalar.var("p"))]
     got = two_form_coefficients(
-        D("x").wedge(D("y")),
-        [("dx", D("x")), ("dy", D("y")), ("dz", D("z")),
-         ("du", D("u")), ("dp", D("p")), ("dq", D("q")), ("dr", D("r"))])
-    assert got == {("dx", "dy"): ONE}
-    # du = th + p dx
-    got = two_form_coefficients(
-        Form.differential(CH1, "u").wedge(Form.differential(CH1, "p")), COFRAME)
-    assert got == {("th", "dp"): ONE, ("dx", "dp"): Scalar.var("p")}
-    got = two_form_coefficients(TH.d(), COFRAME)
-    assert got == {("dx", "dp"): ONE}
+        Form.differential(CH1, "u").wedge(Form.differential(CH1, "p")), [TH], ["u"])
+    assert got == {("x", "p"): Scalar.var("p")}
+    assert two_form_coefficients(TH.d(), [TH], ["u"]) == {("x", "p"): ONE}
 
 
 def test_coefficients_reassembly():
     a = TH.d() + Form.differential(CH1, "p").wedge(Form.differential(CH1, "u")).scale(Scalar.var("u"))
-    exp = two_form_coefficients(a, COFRAME)
-    frame = dict(COFRAME)
     back = Form(CH1, 2, {})
-    for (la, lb), c in exp.items():
-        back = back + frame[la].wedge(frame[lb]).scale(c)
-    assert (back - a).is_zero()
+    for (la, lb), c in two_form_coefficients(a, [TH], ["u"]).items():
+        back = back + Form.differential(CH1, la).wedge(Form.differential(CH1, lb)).scale(c)
+    assert not (back - a).is_zero()
+    assert (back - a).wedge(TH).is_zero()
 
 
 def test_coframe_degenerate():
-    bad = [("a", D("x", CH1)), ("b", D("x", CH1)), ("c", D("p", CH1))]
-    with pytest.raises(CoframeDegenerate):
-        CoframeExpansion(CH1, bad)
+    # the pivot coefficient must be 1, and each generator needs its own pivot
+    with pytest.raises(CoframeDegenerate, match="no unit at its pivot u"):
+        CoframeExpansion(CH1, [TH.scale(2)], ["u"])
+    with pytest.raises(CoframeDegenerate, match="pivot of its own"):
+        CoframeExpansion(CH1, [TH, TH], ["u", "u"])
 
 
-def test_non_triangular_coframe_is_degenerate():
-    # of full rank, but once d(p) is expressed, both remaining forms still
-    # hold the two differentials dx and du
-    frame = [("a", D("x", CH1) + D("u", CH1)), ("b", D("x", CH1) - D("u", CH1)),
-             ("c", D("p", CH1))]
-    with pytest.raises(CoframeDegenerate, match="not triangular"):
-        CoframeExpansion(CH1, frame)
+def test_term_at_another_pivot_is_degenerate():
+    other = Form(CH1, 1, {("p",): ONE, ("u",): V("x")})
+    with pytest.raises(CoframeDegenerate, match="term at the pivot u"):
+        CoframeExpansion(CH1, [TH, other], ["u", "p"])
 
 
 def rational(draw, nonzero=False):
@@ -254,56 +248,53 @@ def rational(draw, nonzero=False):
 
 
 @st.composite
-def coframe_coefficient(draw, nonzero=False, multivariate=False):
-    # univariate coframes pivot on powers of x + 1, with entries affine in x;
-    # multivariate ones pivot on monomials such as u/2 or -2uy/3, with
-    # entries affine in x, u and y (mixing the two makes the gcds slow)
-    if nonzero and multivariate:
-        return rational(draw, True) * V("u") ** draw(st.integers(0, 2)) \
-            * V("y") ** draw(st.integers(0, 1))
-    if nonzero:
-        return rational(draw, True) * (V("x") + 1) ** draw(st.integers(0, 2))
-    names = ("x", "u", "y") if multivariate else ("x",)
-    return rational(draw) + sum((rational(draw) * V(n) for n in names), ZERO)
+def polynomial(draw):
+    # the expansion divides by nothing, so entries may be any polynomials
+    c = ZERO
+    for _ in range(draw(st.integers(1, 2))):
+        term = rational(draw, True)
+        for n in draw(st.lists(st.sampled_from(CH.names), max_size=2)):
+            term = term * V(n)
+        c = c + term
+    return c
 
 
 @st.composite
-def triangular_coframe(draw):
-    """The forms of a drawn coordinate order, each adding its own coordinate's
-    differential with a nonzero coefficient to some of the earlier ones,
-    listed in a drawn order."""
-    multivariate = draw(st.booleans())
-    order = draw(st.permutations(list(CH.names)))
-    forms = []
-    for k, own in enumerate(order):
-        terms = {(own,): draw(coframe_coefficient(True, multivariate))}
-        for n in order[:k]:
-            if draw(st.integers(0, 2)) == 0:
-                terms[(n,)] = draw(coframe_coefficient(False, multivariate))
-        forms.append(Form(CH, 1, terms))
-    return [(j, forms[j]) for j in draw(st.permutations(range(len(forms))))]
+def reduced_system(draw):
+    """Generators with a unit at their own pivot, no term at another pivot
+    and polynomial entries at the other coordinates."""
+    pivots = draw(st.lists(st.sampled_from([d.name for d in CH.dependent]), unique=True))
+    gens = []
+    for p in pivots:
+        terms = {(p,): ONE}
+        for n in CH.names:
+            if n not in pivots and draw(st.integers(0, 2)) == 0:
+                terms[(n,)] = draw(polynomial())
+        gens.append(Form(CH, 1, terms))
+    return gens, pivots
 
 
 @settings(max_examples=60, deadline=None)
-@given(triangular_coframe(), st.lists(st.tuples(st.permutations(list(CH.names)),
-                                                 coframe_coefficient()), max_size=3))
-def test_back_substitution_inverts_triangular_coframes(coframe, two_terms):
-    exp = CoframeExpansion(CH, coframe)
-    for n in CH.names:
-        back = Form(CH, 1, {})
-        for j, c in exp.coords[n]:
-            back = back + exp.forms[j].scale(c)
-        assert back == D(n)
+@given(reduced_system(), st.lists(st.tuples(st.permutations(list(CH.names)),
+                                                 polynomial()), max_size=3))
+def test_expansion_is_the_two_form_modulo_the_generators(system, two_terms):
+    # a minus its expansion lies in the ideal: its wedge with every
+    # generator vanishes
+    gens, pivots = system
+    exp = CoframeExpansion(CH, gens, pivots)
+    assert exp.labels == [n for n in CH.names if n not in pivots]
     a = Form(CH, 2, {})
     for names, c in two_terms:
         a = a + D(names[0]).wedge(D(names[1])).scale(c)
     expanded = exp.expand_two_form(a)
-    assert all(not c.is_zero() for n in CH.names for _, c in exp.coords[n])
     assert all(not c.is_zero() for c in expanded.values())
-    back = Form(CH, 2, {})
+    rest = a
     for (i, j), c in expanded.items():
-        back = back + exp.forms[i].wedge(exp.forms[j]).scale(c)
-    assert (back - a).is_zero()
+        assert i < j
+        rest = rest - D(exp.labels[i]).wedge(D(exp.labels[j])).scale(c)
+    for g in gens:
+        rest = rest.wedge(g)
+    assert rest.is_zero()
 
 
 def test_vertical_degree_and_volume():

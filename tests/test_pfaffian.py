@@ -4,7 +4,7 @@ import pytest
 
 from cartaneds import scalars
 from cartaneds.scalars import Chart, Dependent, Scalar, ONE, SeedStream, sample_point
-from cartaneds.exterior import Form
+from cartaneds.exterior import CoframeExpansion, Form, Substitution
 from cartaneds.hamilton import contact_forms
 from cartaneds.pfaffian import (EmptyLocus, cartan_characters, cartan_test,
                                 essential_torsion, make_system,
@@ -188,13 +188,16 @@ def test_essential_torsion_integrability_model():
 
 
 def test_essential_torsion_complement_independent():
+    # the fiber coordinate W = Z - u*y has the complement dW = dZ - y du - u dy;
+    # the torsion Z is the same function, written in W
     ch = Chart(["x", "y", "z"], [Dependent("u"), Dependent("Z", "grassmann", 1)])
     th = Form(ch, 1, {("u",): ONE, ("x",): V("Z") / V("y"), ("z",): -V("Z")})
-    sys = make_system(ch, [th])
-    default = essential_torsion(structure_equations(sys))
-    shifted = [("Z", Form(ch, 1, {("Z",): ONE, ("x",): V("u") * V("y"), ("y",): ONE + V("Z")}))]
-    alt = essential_torsion(structure_equations(sys, complement_forms=shifted))
-    assert default == alt == [V("Z")]
+    assert essential_torsion(structure_equations(make_system(ch, [th]))) == [V("Z")]
+    ch2 = Chart(["x", "y", "z"], [Dependent("u"), Dependent("W", "grassmann", 1)])
+    pulled = Substitution(ch2, {"Z": V("W") + V("u") * V("y")}).form(th)
+    sys = make_system(ch2, [pulled])
+    assert sys.complement == ["W"]
+    assert essential_torsion(structure_equations(sys)) == [V("u") * V("y") + V("W")]
 
 
 def test_structure_equations_split_no_equation(monkeypatch):
@@ -372,16 +375,17 @@ def test_prune_constraints_drops_multiples():
 
 
 def test_reconstruction_of_structure_equations():
-    # reassemble dtheta from tableau, torsion and theta-pairs exactly
+    # reassemble dtheta from tableau and torsion: the remainder vanishes
+    # modulo the generators
     ch = Chart(["x", "y"], [Dependent("u"), Dependent("v"),
                             Dependent("Z1", "grassmann", 1), Dependent("Z2", "grassmann", 1)])
     th = Form(ch, 1, {("u",): ONE, ("x",): -V("Z1") * V("v"), ("y",): -V("Z2")})
     th2 = Form(ch, 1, {("v",): ONE, ("x",): -V("Z2"), ("y",): V("u")})
     sys = make_system(ch, [th, th2])
     se = structure_equations(sys)
-    cof = dict((lab, f) for lab, f in sys.coframe())
-    oms = [cof[("om", i)] for i in range(sys.m)]
-    pis = [cof[("pi", e)] for e in range(len(sys.complement))]
+    oms = [Form.differential(ch, n) for n in ch.independent]
+    pis = [Form.differential(ch, n) for n in sys.complement]
+    exp = CoframeExpansion(ch, sys.generators, sys.pivots)
     for a, g in enumerate(sys.generators):
         assembled = Form(ch, 2, {})
         for (aa, e, i), c in se.tableau.items():
@@ -390,15 +394,11 @@ def test_reconstruction_of_structure_equations():
         for (aa, i, j), c in se.torsion_raw.items():
             if aa == a:
                 assembled = assembled + oms[i].wedge(oms[j]).scale(c)
-        diff = g.d() - assembled
-        # the remainder must lie in the algebraic ideal of the generators:
-        # eliminating the generator rows must kill every fiber differential
-        from cartaneds.exterior import CoframeExpansion
-        exp = CoframeExpansion(ch, sys.coframe())
-        flat = exp.expand_two_form(diff)
-        for (ra, rb), c in flat.items():
-            la, lb = exp.labels[ra], exp.labels[rb]
-            assert la[0] == "th" or lb[0] == "th", (la, lb, str(c))
+        rest = g.d() - assembled
+        assert exp.expand_two_form(rest) == {}
+        for h in sys.generators:
+            rest = rest.wedge(h)
+        assert rest.is_zero()
 
 
 def test_prolonged_system_is_reduced():
