@@ -78,7 +78,6 @@ def build_lepage_griffiths(vp: VariationalProblem, multiplier_shapes: Sequence) 
     """
     m = vp.chart.m
     shapes = {name: list(spec) for name, spec in multiplier_shapes}
-    gen_map = dict(vp.generators)
     new_names: list = []
     for name, form in vp.generators:
         if name not in shapes:

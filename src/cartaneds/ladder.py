@@ -46,7 +46,7 @@ class LadderStep:
     new_base_constraints: list
     new_fiber_constraints: list
     characters: Optional[CharacterVector]            # coordinate-flag flavor
-    assumptions: list                 # rendered "expr != 0", new at this step
+    assumptions: list                 # Scalars assumed nonzero, new at this step
     added_coordinates: list
     characters_generic: Optional[CharacterVector] = None
 
@@ -152,7 +152,7 @@ def run_system(sys: PfaffianSystem, subst: Substitution, seed: int,
         for a in s.assumptions:
             if not redundant_assumption(a, seen):
                 seen.append(a)
-                fresh.append(f"{a} != 0")
+                fresh.append(a)
         return fresh
 
     def record(kind, constraints=(), report: Optional[InvolutivityReport] = None,

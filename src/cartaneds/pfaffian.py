@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .scalars import (Chart, Dependent, LinearSolveResult, NonLinearInUnknowns,
                       ROLE_GRASSMANN, Scalar, SeedStream, ZERO, add_into,
-                      generic_ranks, p_div_exact, residue, solve_linear, solve_rows)
+                      generic_ranks, p_div_exact, solve_linear, solve_rows)
 from .exterior import (CoframeExpansion, Form, Substitution, contact_form,
                        identity_substitution)
 
@@ -266,12 +266,12 @@ def cartan_characters(se: StructureEquations, seed: int,
     vector, which is the flavor Cartan's test needs.  The two coincide
     whenever the coordinate flag is generic for the tableau.
 
-    Each sample draws the point, then the flag directions, and reduces
-    only the nonzero tableau entries modulo each prime it ranks by.  The
+    Each sample draws the point and the flag directions as residues mod
+    its prime and reduces only the nonzero tableau entries, once.  The
     polar rows of all m - 1 flag directions are stacked once; the k-th
     polar space is the leading block of its first k directions, exactly the
-    rational matrix of that prefix, so one rank_fractions call per sample
-    yields every c_k.
+    matrix of that prefix, so one rank_fractions call per sample yields
+    every c_k.
     """
     sys = se.system
     m, t, s0 = sys.m, se.t, se.s0
@@ -282,28 +282,21 @@ def cartan_characters(se: StructureEquations, seed: int,
     stream = SeedStream(seed ^ 0xC0FFEE)
     cuts = [s0 * (k + 1) for k in range(m - 1)]
 
-    def polar_matrices(point):
+    def polar_matrices(point, p):
         if flag == "coordinate":
             dirs = [[1 if i == k else 0 for i in range(m)] for k in range(max(m - 1, 0))]
         else:
-            dirs = [[stream.fraction() for _ in range(m)] for _ in range(max(m - 1, 0))]
-
-        def reduce(p):
-            res = {n: residue(x, p) for n, x in point.items()}
-            values = [(a, e, i, v.residue(point, res, p)) for a, e, i, v in entries]
-            rows = [{} for _ in range(s0 * (m - 1))]
-            for k, direction in enumerate(dirs):
-                direction = [residue(x, p) for x in direction]
-                for a, e, i, v in values:
-                    if direction[i]:
-                        row = rows[s0 * k + a]
-                        old = row.get(e, 0)
-                        if v is None or old is None:   # p cannot reduce the entry
-                            row[e] = None
-                        else:
-                            row[e] = (old + v * direction[i]) % p
-            return rows
-        return reduce, cuts
+            dirs = [[stream.residue(p) for _ in range(m)] for _ in range(max(m - 1, 0))]
+        values = [(a, e, i, v.residue(point, p)) for a, e, i, v in entries]
+        if any(v is None for *_, v in values):
+            return None
+        rows = [{} for _ in range(s0 * (m - 1))]
+        for k, direction in enumerate(dirs):
+            for a, e, i, v in values:
+                if direction[i]:
+                    row = rows[s0 * k + a]
+                    row[e] = (row.get(e, 0) + v * direction[i]) % p
+        return rows, cuts
 
     best = generic_ranks(polar_matrices, names, stream)
     codims = (s0,) + tuple(s0 + r for r in best)

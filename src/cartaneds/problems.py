@@ -125,7 +125,7 @@ class ExprContext:
 
 
 def eta_form(chart: Chart, indices, metric, line: int) -> Form:
-    scale = metric_volume_scale(metric) if metric else Fraction(1)
+    scale = metric_volume_scale(metric, line) if metric else Fraction(1)
     if not indices:
         return volume_form(chart).scale(scale)
     if any(not isinstance(i, int) or not (1 <= i <= chart.m) for i in indices):
@@ -135,7 +135,7 @@ def eta_form(chart: Chart, indices, metric, line: int) -> Form:
     return volume_contraction(chart, names).scale(scale)
 
 
-def metric_volume_scale(metric) -> Fraction:
+def metric_volume_scale(metric, line: int) -> Fraction:
     det = Fraction(1)
     n = max(i for i, _ in metric)
     for i in range(1, n + 1):
@@ -144,7 +144,8 @@ def metric_volume_scale(metric) -> Fraction:
     num, den = det.numerator, det.denominator
     rn, rd = _isqrt_exact(num), _isqrt_exact(den)
     if rn is None or rd is None:
-        raise ParseError("sqrt|det g| must be rational: |det| has to be a perfect square")
+        raise ParseError("sqrt|det g| must be rational: |det| has to be a perfect square",
+                         line)
     return Fraction(rn, rd)
 
 
@@ -476,9 +477,13 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
     if metric is not None and metric_size != len(independent):
         raise ParseError(f"metric has {metric_size} diagonal entries for "
                          f"{len(independent)} independent coordinates", metric_line)
+    jetted: set = set()
     for ln, fieldname, jets in jet_lines:
         if fieldname not in {d.name for d in dependents}:
             raise ParseError(f"jet line references unknown field {fieldname!r}", ln)
+        if fieldname in jetted:
+            raise ParseError(f"field {fieldname!r} already has jets", ln)
+        jetted.add(fieldname)
         if len(jets) != len(independent):
             raise ParseError(f"field {fieldname!r} needs {len(independent)} jets", ln)
         for jn, xn in zip(jets, independent):
@@ -508,6 +513,8 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
                 raise ParseError("lagrangian must be degree 0 (a density) or degree m", ln)
         elif key == "generator":
             gname, expr_text = _named(value, ln, "generator = name : expr")
+            if any(gname == n for n, _ in generators):
+                raise ParseError(f"generator {gname!r} is already declared", ln)
             generators.append((gname, parse_expression(expr_text, ctx, ln)))
         elif key == "theta":
             theta = parse_expression(value, ctx, ln)
@@ -570,14 +577,21 @@ def _resolve_multiplier_shapes(lines, generators, ctx: ExprContext):
     """
     gen_names = {n for n, _ in generators}
     shapes = []
+    declared: set = set()
     for ln, gname, expr_text in lines:
         if gname not in gen_names:
             raise ParseError(f"multiplier for unknown generator {gname!r}", ln)
+        if any(gname == g for g, _ in shapes):
+            raise ParseError(f"generator {gname!r} already has a multiplier", ln)
         finder = replace(ctx, fresh=[])
         form = parse_expression(expr_text, finder, ln)
         new_names = finder.fresh
         if not new_names:
             raise ParseError("multiplier expression introduces no new coordinate", ln)
+        for n in new_names:
+            if n in declared:
+                raise ParseError(f"multiplier {n!r} is already declared", ln)
+            declared.add(n)
         basis = []
         for n in new_names:
             coeff_terms = {}

@@ -93,7 +93,7 @@ def _steps_payload(lad: ConstraintLadder) -> list:
             "base_constraints": [str(c) for c in s.new_base_constraints],
             "fiber_constraints": [str(c) for c in s.new_fiber_constraints],
             "characters": list(s.characters.s) if s.characters else [],
-            "assumptions": list(s.assumptions),
+            "assumptions": [f"{a} != 0" for a in s.assumptions],
             "added_coordinates": list(s.added_coordinates),
         })
     return steps

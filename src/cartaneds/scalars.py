@@ -15,9 +15,10 @@ generators, the rows of a linear solve) never hold an explicit zero.  Every
 accumulation goes through add_into, which drops a key whose sum cancels, so
 code reading such a row never re-tests its entries for zero.
 
-Generic ranks are sampled at seeded rational points modulo two large primes;
-entries are reduced mod p straight from the rational draws, and sampling
-stops once every block has full rank (see generic_ranks).
+Generic ranks are sampled at seeded points of F_p, one prime per sample,
+alternating between two large primes: each entry is reduced mod p at the
+point, the matrix is ranked in one echelon pass, and sampling stops once
+every block has full rank (see generic_ranks).
 """
 
 from __future__ import annotations
@@ -179,8 +180,8 @@ def p_eval(a: Poly, point: Mapping[str, Fraction]) -> Fraction:
     return total
 
 
-def residue(value, p: int) -> Optional[int]:
-    """A Fraction or int modulo p, or None when p divides its denominator."""
+def _residue(value: Fraction, p: int) -> Optional[int]:
+    """A rational coefficient modulo p, or None when p divides its denominator."""
     d = value.denominator
     if d == 1:
         return value.numerator % p
@@ -194,7 +195,7 @@ def _p_residue(a: Poly, point: Mapping[str, int], p: int) -> Optional[int]:
     denominator of a coefficient."""
     total = 0
     for m, c in a.items():
-        v = residue(c, p)
+        v = _residue(c, p)
         if v is None:
             return None
         for name, e in m:
@@ -661,21 +662,18 @@ class Scalar:
             raise ZeroDivisionError("denominator vanished at the sample point")
         return p_eval(self.num, point) / d
 
-    def residue(self, point: Mapping[str, Fraction], residues: Mapping[str, int],
-                p: int) -> Optional[int]:
-        """The value at a rational point mod p, or None when p divides its
-        denominator; residues holds the point's coordinates mod p.
+    def residue(self, point: Mapping[str, int], p: int) -> Optional[int]:
+        """The value mod p at a point of residues mod p, or None when it has
+        none there: the denominator vanishes at the point, or p divides the
+        denominator of a coefficient.
 
         Numerator and denominator are evaluated with int arithmetic mod p.
-        When the denominator's residue is 0, or p divides a coefficient's
-        denominator, this entry alone is evaluated exactly, so a pole over
-        Q still raises ZeroDivisionError.
         """
-        n = _p_residue(self.num, residues, p)
-        d = 1 if p_is_one(self.den) else _p_residue(self.den, residues, p)
-        if n is None or not d:
-            return residue(self.evaluate(point), p)
-        return n if d == 1 else n * pow(d, -1, p) % p
+        n = _p_residue(self.num, point, p)
+        if p_is_one(self.den):
+            return n
+        d = _p_residue(self.den, point, p)
+        return None if n is None or not d else n * pow(d, -1, p) % p
 
     # -- normalization for reporting ----------------------------------------
 
@@ -958,7 +956,6 @@ def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveRes
 
 _MASK64 = (1 << 64) - 1
 _PRIMES = ((1 << 61) - 1, (1 << 89) - 1)
-SAMPLE_BOUND = 10_000
 SAMPLES = 3                 # most sample points per generic rank
 
 
@@ -975,61 +972,31 @@ class SeedStream:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def randint(self, lo: int, hi: int) -> int:
-        return lo + self.next_u64() % (hi - lo + 1)
-
-    def fraction(self) -> Fraction:
-        num = self.randint(-(SAMPLE_BOUND - 1), SAMPLE_BOUND - 1)
-        den = self.randint(1, SAMPLE_BOUND - 1)
-        return Fraction(num, den)
-
-
-def sample_point(names: Iterable[str], stream: SeedStream) -> dict:
-    return {n: stream.fraction() for n in sorted(names)}
+    def residue(self, p: int) -> int:
+        """A uniform residue mod p < 2^128, by rejection from p.bit_length() bits."""
+        while True:
+            x = (self.next_u64() << 64 | self.next_u64()) >> (128 - p.bit_length())
+            if x < p:
+                return x
 
 
-def rank_fractions(reduce: Callable[[int], Sequence[Mapping[int, Optional[int]]]],
-                   cuts: Sequence[int]) -> tuple:
-    """Ranks of the leading blocks rows[:k], for k in cuts, of a sparse rational matrix.
+def sample_point(names: Iterable[str], stream: SeedStream, p: int) -> dict:
+    return {n: stream.residue(p) for n in sorted(names)}
 
-    reduce(p) gives the rows modulo p: a row maps a column to the residue
-    of its entry, or to None where p divides the entry's denominator.  Only
-    the entries present are read, so callers pass the nonzero ones.  One
-    echelon pass modulo each of two large primes yields the rank of every
-    block, and each block takes the larger of its two modular ranks (a
-    modular rank never exceeds the rational one).  When the first prime
-    already gives every block its row count, the most any prime can give,
-    the second is neither reduced to nor run.
-    A prime that divides the denominator of an entry still serves the blocks
-    that end before that entry's row.  A block that no prime serves raises
-    ZeroDivisionError, so that no matrix reads as rank 0 for want of a usable
-    prime.  cuts must be nondecreasing.
+
+def rank_fractions(rows: Sequence[Mapping[int, int]], cuts: Sequence[int], p: int) -> tuple:
+    """Ranks modulo p of the leading blocks rows[:k], for k in cuts, of a
+    sparse matrix of residues mod p, by one echelon pass.
+
+    A row maps a column to its residue; only the entries present are read,
+    so callers pass the nonzero ones.  cuts must be nondecreasing.
     """
-    best = [-1] * len(cuts)
-    for p in _PRIMES:
-        for j, r in enumerate(_rank_mod(reduce(p), cuts, p)):
-            best[j] = max(best[j], r)
-        if best == list(cuts):
-            break
-    if -1 in best:
-        raise ZeroDivisionError("every prime divides a denominator of the matrix")
-    return tuple(best)
-
-
-def _rank_mod(rows, cuts, p: int) -> list:
-    """Ranks modulo p of the leading blocks rows[:k] of a matrix of residues
-    mod p, for the k in cuts that end before the first row with a None."""
     echelon: dict = {}  # least column of a reduced row -> the row, scaled to 1 there
     ranks = []
     done = 0
     for k in cuts:
         for row in rows[done:k]:
-            red = {}
-            for c, x in row.items():
-                if x is None:
-                    return ranks
-                if x:
-                    red[c] = x
+            red = {c: x for c, x in row.items() if x}
             while red:
                 c = min(red)
                 piv = echelon.get(c)
@@ -1046,50 +1013,48 @@ def _rank_mod(rows, cuts, p: int) -> list:
                         del red[j]
         done = k
         ranks.append(len(echelon))
-    return ranks
+    return tuple(ranks)
 
 
-def generic_ranks(matrices: Callable[[dict], tuple], names: Iterable[str],
+def generic_ranks(matrices: Callable[[dict, int], Optional[tuple]], names: Iterable[str],
                   stream: SeedStream) -> tuple:
     """Generic ranks of the leading blocks of a point-dependent rational matrix,
-    by seeded sampling.
+    by seeded sampling over F_p.
 
-    matrices(point) returns (reduce, cuts) at a point drawn over names: the
-    rows mod p as rank_fractions takes them, and the row counts of the
-    leading blocks to rank.  matrices may draw further values from stream
-    (flag directions); reduce runs once per prime and must not.  A point
-    where either raises ZeroDivisionError (a vanishing denominator) is
-    redrawn, up to 8 times per sample.  The result is the componentwise
-    maximum of the block ranks over at most SAMPLES samples, stopping once
-    every block has its row count, which no sample could raise; each caller
-    has its own stream, so that shifts no other draw.
+    Sample k draws a point of residues mod p = _PRIMES[k % 2] over names.
+    matrices(point, p) returns the rows mod p, as rank_fractions takes them,
+    and the row counts of the leading blocks to rank; or None when an entry
+    has no value mod p there, and the point is redrawn, up to 8 times per
+    sample.  matrices may draw further values (flag directions) from stream;
+    each caller has its own stream, so that shifts no other draw.  Each
+    block keeps its largest rank over at most SAMPLES samples, stopping once
+    every block has its row count.  If no sample served, AllSamplesDegenerate
+    is raised, so that no matrix reads as rank 0.
 
-    The error is one-sided: a sampled rank never exceeds the generic rank r.
-    A minor that vanishes identically vanishes at every point and modulo
-    every prime, so a sample can only fall short of r, and only when the
-    point is a zero of a nonzero r x r minor or the prime divides its value.
-    For a minor of degree D and coordinates drawn uniformly from a finite
-    set S the former has probability at most D/|S| (Schwartz 1980; Zippel
-    1979).  Maximizing each block's rank over samples thus only moves it
-    toward its r.
+    The error is one-sided: a sampled rank never exceeds the generic rank r,
+    since a minor that vanishes identically vanishes at every point mod p.
+    A sample falls short only where p divides every coefficient of a nonzero
+    r x r minor, or its point is a zero of the minor's reduction mod p; for
+    a minor of degree D and a uniform point of F_p^n the latter has
+    probability at most D/p, with p >= 2^61 - 1 (Schwartz, J. ACM 27, 1980;
+    Zippel 1979).
     """
     best = None
-    for _ in range(SAMPLES):
-        full = False
+    for k in range(SAMPLES):
+        p = _PRIMES[k % 2]
         for _retry in range(8):
-            point = sample_point(names, stream)
-            try:
-                reduce, cuts = matrices(point)
-                got = rank_fractions(reduce, cuts)
-            except ZeroDivisionError:
-                continue
-            best = got if best is None else tuple(map(max, best, got))
-            full = best == tuple(cuts)
-            break
-        if full:
+            got = matrices(sample_point(names, stream, p), p)
+            if got is not None:
+                break
+        else:
+            continue
+        rows, cuts = got
+        ranks = rank_fractions(rows, cuts, p)
+        best = ranks if best is None else tuple(map(max, best, ranks))
+        if best == tuple(cuts):
             break
     if best is None:
-        raise AllSamplesDegenerate("every sample point hit a vanishing denominator")
+        raise AllSamplesDegenerate("no sample point gave every entry a value mod p")
     return best
 
 
@@ -1106,11 +1071,11 @@ def random_rank(matrix: Sequence[Sequence[Scalar]], seed: int) -> int:
         for c in row.values():
             names |= c.variables()
 
-    def sampled(point):
-        def reduce(p):
-            res = {n: residue(v, p) for n, v in point.items()}
-            return [{j: c.residue(point, res, p) for j, c in row.items()} for row in rows]
-        return reduce, (len(rows),)
+    def sampled(point, p):
+        reduced = [{j: c.residue(point, p) for j, c in row.items()} for row in rows]
+        if any(None in row.values() for row in reduced):
+            return None
+        return reduced, (len(rows),)
 
     (rank,) = generic_ranks(sampled, names, SeedStream(seed))
     return rank

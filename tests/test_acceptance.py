@@ -268,7 +268,7 @@ def test_criterion_10_saunders():
     torsion_steps = steps_of_kind(rep, "torsion")
     want = (V("y") * V("w_y") + V("w")).constraint_normal()
     assert any(want in s.new_base_constraints for s in torsion_steps)
-    assumptions = [a for s in rep.ladder.steps for a in s.assumptions]
+    assumptions = [a for s in rep.steps for a in s["assumptions"]]
     assumptions += rep.problem["hamilton"]["assumptions"]
     assert "y != 0" in assumptions
     final = rep.ladder.steps[-1]

@@ -138,6 +138,7 @@ def test_metric_size_mismatch_exit_65(tmp_path, capsys, metric, size):
     assert f"metric has {size} diagonal entries for 4 independent" in err
 
 
+THW = "generator = thw : d(w) - w_x*d(x) - w_y*d(y)\n"
 GRIFFITHS_PROBLEM = """name = g
 [chart]
 independent = x y
@@ -167,13 +168,25 @@ multiplier = th : p*d(x)
      "division by zero (line 12, col 10)"),
     (fixture_text("sundermeyer").replace("= 1/2*v1^2", "= (q1-q1)^-1 + 1/2*v1^2"),
      "division by zero (line 12, col 8)"),
+    (fixture_text("saunders").replace("m*d(x) + n*d(y)", "p*d(x) + n*d(y)"),
+     "multiplier 'p' is already declared (line 22)"),
+    (fixture_text("saunders").replace(THW, THW * 2),
+     "generator 'thw' is already declared (line 17)"),
+    (fixture_text("saunders").replace("n*d(y)\n", "n*d(y)\nmultiplier = thw : m2*d(x) + n2*d(y)\n"),
+     "generator 'thw' already has a multiplier (line 23)"),
+    (fixture_text("saunders").replace("w_x w_y\n", "w_x w_y\njet = w : w_1 w_2\n"),
+     "field 'w' already has jets (line 11)"),
+    (fixture_text("saunders") + "[params]\nmetric = diag(2,1)\n",
+     "|det| has to be a perfect square (line 13)"),
 ], ids=["explicit-without-theta", "metric-index-out-of-range",
         "unclosed-multiplier-index", "multiplier-uses-builtin", "multiplier-differential",
         "generator-mixes-form-degrees", "zero-parameter-to-negative-power",
-        "zero-to-negative-power"])
+        "zero-to-negative-power", "multiplier-name-twice", "generator-name-twice",
+        "second-multiplier-line", "second-jet-line", "metric-without-rational-root"])
 def test_malformed_input_exit_65(tmp_path, capsys, text, message):
-    # the first three, the last but two and the last two used to escape as
-    # KeyError/IndexError/ValueError/DomainError (exit 70)
+    # the first three, "generator-mixes-form-degrees" to "generator-name-twice"
+    # used to escape as KeyError/IndexError/ValueError/DomainError (exit 70);
+    # a second multiplier or jet line for one name used to be taken silently
     bad = tmp_path / "bad.prob"
     bad.write_text(text)
     code, out, err = run_cli(capsys, "analyze", str(bad))

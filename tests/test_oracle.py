@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from cartaneds.scalars import Scalar, p_gcd, solve_linear  # noqa: E402
+from cartaneds.scalars import Scalar, p_gcd, random_rank, solve_linear  # noqa: E402
 
 X, Y = sympy.symbols("x y")
 
@@ -75,6 +75,26 @@ def test_solve_linear_rank_matches_sympy(system):
     assert len(res.free) == len(unknowns) - rank
     augmented = [row + [b] for row, b in zip(coeffs, consts)]
     assert (not res.residual) == (field_rank(augmented) == rank)
+
+
+@st.composite
+def square_matrix(draw):
+    """An n x n matrix of polynomials, n in 2..4, whose last rows may be
+    polynomial combinations of the first, so that deficient ranks are common."""
+    n = draw(st.integers(2, 4))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, n)))]
+    while len(rows) < n:
+        coeffs = [draw(poly(1, 1, 1)) for _ in rows]
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), Scalar.const(0))
+                     for j in range(n)])
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrix(), st.integers(0, 2 ** 32))
+def test_random_rank_matches_sympy(rows, seed):
+    # the sampled generic rank against sympy's exact rank over Q(x, y)
+    assert random_rank(rows, seed) == field_rank(rows)
 
 
 linear = st.one_of(poly(2, 1, 0), poly(2, 0, 1))

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from cartaneds import scalars
-from cartaneds.scalars import Chart, Dependent, Scalar, ONE, SeedStream, sample_point
+from cartaneds.scalars import Chart, Dependent, Scalar, ONE
 from cartaneds.exterior import CoframeExpansion, Form, Substitution
 from cartaneds.hamilton import contact_forms
 from cartaneds.pfaffian import (EmptyLocus, cartan_characters, cartan_test,
@@ -47,21 +48,26 @@ def brute_force_characters(sys, seed=23, mix="coordinate"):
     a flag inside a sampled integral element.
 
     mix="coordinate" walks the element's adapted frame in order;
-    mix="generic" takes random combinations of the frame vectors.
+    mix="generic" takes random combinations of the frame vectors.  The
+    point, slopes and combinations are rationals drawn from
+    random.Random(seed), and ranks are taken by exact elimination.
     """
-    from cartaneds.scalars import rank_fractions, residue
+    from test_scalars import exact_rank
+    rng = random.Random(seed)
+
+    def draw():
+        return Fraction(rng.randint(-9999, 9999), rng.randint(1, 9999))
     chart = sys.chart
     names = list(chart.names)
     m = chart.m
-    stream = SeedStream(seed)
-    point = sample_point(set(names), stream)
+    point = {n: draw() for n in sorted(names)}
     # a generic integral element: solve the absorption system numerically
     se = structure_equations(sys)
     comp = sys.complement
     res = se.absorption
     slope_point = dict(point)
     for n in res.free:
-        slope_point[n] = stream.fraction()
+        slope_point[n] = draw()
     slopes = {}
     for e, en in enumerate(comp):
         for i, xn in enumerate(chart.independent):
@@ -83,7 +89,7 @@ def brute_force_characters(sys, seed=23, mix="coordinate"):
             vec[piv] = -total / row[piv]
         frame.append(vec)
     if mix == "generic":
-        combos = [[stream.fraction() for _ in range(m)] for _ in range(m)]
+        combos = [[draw() for _ in range(m)] for _ in range(m)]
         frame = [{n: sum(c[i] * frame[i].get(n, Fraction(0)) for i in range(m))
                   for n in names} for c in combos]
     # polar conditions on Y for the flag E_k = span(frame[0..k-1])
@@ -102,8 +108,7 @@ def brute_force_characters(sys, seed=23, mix="coordinate"):
                     cond[na] += cv * v.get(nb, Fraction(0))
                     cond[nb] -= cv * v.get(na, Fraction(0))
                 rows.append({c: cond[n] for c, n in enumerate(names)})
-        return rank_fractions(lambda p: [{c: residue(v, p) for c, v in row.items()}
-                                         for row in rows], [len(rows)])[0]
+        return exact_rank([[row.get(c, 0) for c in range(len(names))] for row in rows])
     codims = [polar_rank(k) for k in range(m)]
     s = [codims[0]]
     for k in range(1, m):

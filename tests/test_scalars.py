@@ -10,8 +10,7 @@ from cartaneds.scalars import (_PRIMES, SAMPLES, AllSamplesDegenerate, Chart,
                                Dependent, DomainError, Scalar,
                                ONE, ZERO, SeedStream, generic_ranks, p_add, p_gcd,
                                _linear_split, add_into, p_leading, p_mul, p_sub,
-                               rank_fractions, random_rank, residue, sample_point,
-                               solve_linear, solve_rows)
+                               rank_fractions, random_rank, solve_linear, solve_rows)
 
 
 def V(name):
@@ -465,9 +464,15 @@ def exact_rank(rows):
     return rank
 
 
-def mod_rows(rows):
+def reduce_mod(value, p):
+    """A Fraction modulo p, which must not divide its denominator."""
+    value = Fraction(value)
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
+def mod_rows(rows, p):
     """rank_fractions' input for rows of Fractions: their residues mod p."""
-    return lambda p: [{c: residue(v, p) for c, v in row.items()} for row in rows]
+    return [{c: reduce_mod(v, p) for c, v in row.items()} for row in rows]
 
 
 def test_random_rank_identity():
@@ -504,50 +509,35 @@ def test_random_rank_matches_exact_rank_on_rationals(rows):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_scalar(), small_scalar(), st.sampled_from(_PRIMES), st.integers(0, 2 ** 64 - 1))
-def test_residue_is_the_reduction_of_the_rational_value(a, b, p, seed):
+@given(small_scalar(), small_scalar(), st.sampled_from(_PRIMES),
+       st.lists(st.integers(-30, 30), min_size=3, max_size=3))
+def test_residue_is_the_reduction_of_the_rational_value(a, b, p, coords):
     assume(not b.is_zero())
     s = a / b
     assume(s.den != {(): 1})
-    point = sample_point("xyz", SeedStream(seed))
-    residues = {n: residue(v, p) for n, v in point.items()}
-    try:
-        value = s.evaluate(point)
-    except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
-            s.residue(point, residues, p)
-        return
-    assert s.residue(point, residues, p) == residue(value, p)
+    got = s.residue({n: v % p for n, v in zip("xyz", coords)}, p)
+    if got is not None:
+        assert got == reduce_mod(s.evaluate(dict(zip("xyz", map(Fraction, coords)))), p)
 
 
-def test_residue_falls_back_to_the_exact_value():
+def test_residue_is_none_without_a_value_mod_p():
     P1, P2 = _PRIMES
     x, y = V("x"), V("y")
-
-    def at(s, p, **coords):
-        point = {n: Fraction(v) for n, v in coords.items()}
-        return s.residue(point, {n: residue(v, p) for n, v in point.items()}, p)
-
-    # a coefficient with denominator P1: the value decides, not the coefficient
+    # P1 divides a coefficient's denominator: no value mod P1 at any point
     s = x / P1 + 1
-    assert at(s, P1, x=P1) == 2
-    assert at(s, P1, x=3) is None
-    assert at(s, P2, x=3) == residue(Fraction(3, P1) + 1, P2)
-    # a denominator that P1 divides at the point: P1 cuts, P2 serves
+    assert s.residue({"x": 3}, P1) is None
+    assert s.residue({"x": 3}, P2) == reduce_mod(Fraction(3, P1) + 1, P2)
+    # a denominator that vanishes at the point
     t = ONE / (x - y)
-    assert at(t, P1, x=P1 + 1, y=1) is None
-    assert at(t, P2, x=P1 + 1, y=1) == residue(Fraction(1, P1), P2)
-    # a pole over Q raises for every prime
     for p in _PRIMES:
-        with pytest.raises(ZeroDivisionError):
-            at(t, p, x=Fraction(1, 2), y=Fraction(1, 2))
+        assert t.residue({"x": 5, "y": 5}, p) is None
+        assert t.residue({"x": 5, "y": 4}, p) == 1
 
 
 def test_a_point_on_a_pole_is_redrawn(monkeypatch):
     x, y = V("x"), V("y")
-    points = iter([{"x": Fraction(1, 2), "y": Fraction(1, 2)},
-                   {"x": Fraction(_PRIMES[0] + 1), "y": Fraction(1)}])
-    monkeypatch.setattr(scalars, "sample_point", lambda names, stream: next(points))
+    points = iter([{"x": 1, "y": 1}, {"x": 2, "y": 1}])
+    monkeypatch.setattr(scalars, "sample_point", lambda names, stream, p: next(points))
     assert random_rank([[ONE / (x - y)]], seed=0) == 1
     assert next(points, None) is None
 
@@ -568,26 +558,22 @@ def test_no_usable_prime_is_not_rank_zero():
     # a rank-2 matrix whose entries have a denominator divisible by both primes
     P1, P2 = _PRIMES
     f = Fraction(1, P1 * P2)
-    bad = [{0: f}, {1: f}]
-    with pytest.raises(ZeroDivisionError):
-        rank_fractions(mod_rows(bad), [2])
     with pytest.raises(AllSamplesDegenerate):
         random_rank([[C(f), ZERO], [ZERO, C(f)]], seed=0)
     # the sampling kernel redraws such a point instead of counting it
-    good = [{0: Fraction(1)}, {1: Fraction(1)}]
-    draws = iter([bad, bad] + [good] * SAMPLES)
-    assert generic_ranks(lambda point: (mod_rows(next(draws)), [2]), [], SeedStream(0)) == (2,)
+    good = ([{0: 1}, {1: 1}], [2])
+    draws = iter([None, None] + [good] * SAMPLES)
+    assert generic_ranks(lambda point, p: next(draws), [], SeedStream(0)) == (2,)
 
 
 def test_generic_ranks_keep_each_block_at_its_best_sample():
     # every sampled block rank can only fall short, so each block keeps its
     # largest sample: (3, 4) and (2, 5) give (3, 5), not the larger tuple
-    unit = [{c: Fraction(1)} for c in range(5)]
-    samples = [(mod_rows(unit[:4] + unit[:2]), [3, 6]),
-               (mod_rows(unit[:2] + [unit[0]] + unit[2:]), [3, 6])]
-    assert [rank_fractions(*m) for m in samples] == [(3, 4), (2, 5)]
+    unit = [{c: 1} for c in range(5)]
+    samples = [(unit[:4] + unit[:2], [3, 6]), (unit[:2] + [unit[0]] + unit[2:], [3, 6])]
+    assert [rank_fractions(*m, _PRIMES[0]) for m in samples] == [(3, 4), (2, 5)]
     draws = iter(samples * SAMPLES)
-    assert generic_ranks(lambda point: next(draws), [], SeedStream(0)) == (3, 5)
+    assert generic_ranks(lambda point, p: next(draws), [], SeedStream(0)) == (3, 5)
 
 
 @st.composite
@@ -608,56 +594,40 @@ def _dense(rows):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_blocks())
-def test_prefix_ranks_match_exact_rank(case):
+@given(sparse_blocks(), st.sampled_from(_PRIMES))
+def test_prefix_ranks_match_exact_rank(case, p):
     rows, cuts = case
-    assert rank_fractions(mod_rows(rows), cuts) == tuple(exact_rank(_dense(rows[:k]))
-                                                         for k in cuts)
+    assert rank_fractions(mod_rows(rows, p), cuts, p) == tuple(exact_rank(_dense(rows[:k]))
+                                                               for k in cuts)
 
 
-@settings(max_examples=100, deadline=None)
-@given(sparse_blocks(), st.data())
-def test_prefix_ranks_survive_a_row_one_prime_divides(case, data):
-    # P1 divides a denominator of one inserted row: P2 still ranks every
-    # block, the blocks ending before that row included
-    rows, cuts = case
-    P1, _ = _PRIMES
-    at = data.draw(st.integers(0, len(rows)))
-    rows = rows[:at] + [{0: Fraction(1, P1)}] + rows[at:]
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), min_size=1, max_size=4)))
-    assert rank_fractions(mod_rows(rows), cuts) == tuple(exact_rank(_dense(rows[:k]))
-                                                         for k in cuts)
+def ranked_primes(monkeypatch):
+    """The prime of every rank_fractions call from now on, in call order."""
+    primes = []
+    rank = scalars.rank_fractions
+    monkeypatch.setattr(scalars, "rank_fractions",
+                        lambda rows, cuts, p: primes.append(p) or rank(rows, cuts, p))
+    return primes
 
 
-@settings(max_examples=100, deadline=None)
-@given(sparse_blocks(), st.data())
-def test_no_prime_for_a_later_block_raises(case, data):
-    # a row whose denominator both primes divide leaves every block that
-    # contains it without a usable prime; the blocks before it keep theirs
-    rows, cuts = case
+def test_a_sample_whose_prime_divides_a_coefficient_is_skipped(monkeypatch):
+    # no point gives 1/P1 a value mod P1, so the first sample is skipped
+    # and the second, at P2, serves
     P1, P2 = _PRIMES
-    at = data.draw(st.integers(0, len(rows)))
-    rows = rows[:at] + [{0: Fraction(1, P1 * P2)}] + rows[at:]
-    before = [k for k in cuts if k <= at]
-    assert rank_fractions(mod_rows(rows), before) == tuple(exact_rank(_dense(rows[:k]))
-                                                           for k in before)
-    with pytest.raises(ZeroDivisionError):
-        rank_fractions(mod_rows(rows),
-                       sorted(cuts + [data.draw(st.integers(at + 1, len(rows)))]))
+    primes = ranked_primes(monkeypatch)
+    assert random_rank([[C(Fraction(1, P1))]], seed=0) == 1
+    assert primes == [P2]
 
 
-def test_second_prime_only_when_a_block_falls_short(monkeypatch):
-    passes = []
-    rank_mod = scalars._rank_mod
-    monkeypatch.setattr(scalars, "_rank_mod",
-                        lambda rows, cuts, p: passes.append(p) or rank_mod(rows, cuts, p))
-    identity = [{i: Fraction(1)} for i in range(100)]
-    assert rank_fractions(mod_rows(identity), [50, 100]) == (50, 100)
-    assert len(passes) == 1
-    passes.clear()
-    deficient = identity[:99] + [{0: Fraction(3)}]
-    assert rank_fractions(mod_rows(deficient), [50, 100]) == (50, 99)
-    assert len(passes) == 2
+def test_samples_alternate_the_primes(monkeypatch):
+    P1, P2 = _PRIMES
+    primes = ranked_primes(monkeypatch)
+    x = V("x")
+    assert random_rank([[x, x], [ONE, ONE]], seed=3) == 1
+    assert primes == [P1, P2, P1]
+    primes.clear()
+    assert random_rank([[x, ONE], [ONE, x]], seed=2) == 2
+    assert primes == [P1]
 
 
 def test_random_rank_evaluates_only_nonzero_entries(monkeypatch):
