@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .scalars import Chart, Scalar, ZERO, ONE, add_into, p_is_one, random_rank
+from .scalars import Chart, Scalar, ZERO, ONE, add_into, random_rank
 
 
 class CoframeDegenerate(ValueError):
@@ -163,7 +163,7 @@ class Form:
                 elif cs == "-1":
                     parts.append(f"-{wedge}")
                 else:
-                    if not p_is_one(coef.den) or len(coef.num) > 1:
+                    if coef.is_compound():
                         cs = f"({cs})"
                     parts.append(f"{cs}*{wedge}")
             else:

@@ -58,7 +58,6 @@ class HamiltonLocus:
     grassmann_chart: Chart
     solved: Substitution              # eliminations defining G0 (fiber and base)
     base_constraints: list            # Z-free relations on the Lepage chart
-    assumptions: list                 # nonvanishing pivots recorded while solving
     pfaffian: PfaffianSystem          # the induced linear Pfaffian on G0
 
 
@@ -259,9 +258,7 @@ def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,
         thetas.append(subst.form(contact_form(gchart, d.name, slopes)))
     system = make_system(new_chart, thetas, assumptions=assumptions)
     return HamiltonLocus(grassmann_chart=gchart, solved=subst,
-                         base_constraints=_dedupe(base_constraints),
-                         assumptions=system.assumptions,
-                         pfaffian=system)
+                         base_constraints=_dedupe(base_constraints), pfaffian=system)
 
 
 def residual_check(hl: HamiltonLocus, ls: LepageSpace) -> bool:

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .scalars import (NonLinearInUnknowns, Poly, Scalar, p_div_exact, p_gcd,
-                      p_is_const)
+from .scalars import NonLinearInUnknowns, Scalar
 from .exterior import Substitution
 from .hamilton import HamiltonLocus
 from .pfaffian import (CharacterVector, EmptyLocus, InvolutivityReport,
@@ -60,30 +59,10 @@ class ConstraintLadder:
     hamilton: Optional[HamiltonLocus] = None
 
 
-def _strip_factors(num: Poly, factors: Sequence[Scalar]) -> Poly:
-    """The nonzero numerator num with every irreducible factor it shares
-    with a nonconstant recorded factor divided out, as often as it divides.
-
-    A recorded factor is nonzero, so each of its factors is: dividing by
-    g = gcd(num, f) until g is constant takes out every factor num shares
-    with f, whatever the order of the list, and f need not divide num.
-    Each division lowers the degree, so every loop ends; once num shares
-    nothing with f, no later quotient does, so one pass suffices.
-    """
-    for f in factors:
-        if f.as_constant() is not None:
-            continue
-        g = p_gcd(num, f.num)
-        while not p_is_const(g):
-            num = p_div_exact(num, g)
-            g = p_gcd(num, g)
-    return num
-
-
 def redundant_assumption(a: Scalar, seen: Sequence[Scalar]) -> bool:
     """True when a's nonvanishing already follows from recorded assumptions
     (a is a product of powers of them, up to a constant)."""
-    return p_is_const(_strip_factors(a.num, seen))
+    return a.strip_factors(seen).as_constant() is not None
 
 
 def classify_constraint(c: Scalar, chart) -> tuple:
@@ -114,10 +93,10 @@ def _branch_policy(sys: PfaffianSystem, constraints: list, offending: Scalar) ->
     cons = prune_constraints(constraints)
     if offending not in cons:
         return cons  # a factor is already zero on the locus
-    stripped = _strip_factors(offending.num, sys.assumptions)
-    if stripped == offending.num:
+    stripped = offending.strip_factors(sys.assumptions)
+    if stripped == offending:
         raise NeedsUserBranch(offending)
-    return [c for c in cons if c != offending] + [Scalar(stripped).constraint_normal()]
+    return [c for c in cons if c != offending] + [stripped.constraint_normal()]
 
 
 def _restrict_with_policy(sys: PfaffianSystem, constraints: Sequence[Scalar]):

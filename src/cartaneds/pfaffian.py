@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .scalars import (Chart, Dependent, LinearSolveResult, NonLinearInUnknowns,
                       ROLE_GRASSMANN, Scalar, SeedStream, ZERO, add_into,
-                      generic_ranks, p_div_exact, solve_linear, solve_rows)
+                      generic_ranks, pivot_key, solve_linear, solve_rows)
 from .exterior import (CoframeExpansion, Form, Substitution, contact_form,
                        identity_substitution)
 
@@ -71,7 +71,7 @@ def prune_constraints(scalars: Sequence[Scalar]) -> list:
         for j, t in enumerate(items):
             if i == j or t.as_constant() is not None:
                 continue
-            if p_div_exact(s.num, t.num) is not None and (j < i or p_div_exact(t.num, s.num) is None):
+            if s.is_multiple_of(t) and (j < i or not t.is_multiple_of(s)):
                 redundant = True
                 break
         if not redundant:
@@ -108,8 +108,7 @@ def reduce_generators(chart: Chart, forms: Sequence[Form]):
                 if c is not None:
                     zero_forms.append(c.constraint_normal())
             continue
-        live.sort(key=lambda nc: (0 if nc[1].as_constant() is not None else 1,
-                                  len(nc[1].num), chart.position(nc[0])))
+        live.sort(key=lambda nc: (pivot_key(nc[1]), chart.position(nc[0])))
         pname, pc = live[0]
         if pc.as_constant() is None:
             assumptions.append(pc.constraint_normal())

@@ -25,6 +25,7 @@ from typing import Optional
 
 from .scalars import Chart, Dependent, Scalar, ROLE_FIELD, ROLE_JET
 from .exterior import Form, volume_contraction, volume_form
+from .hamilton import grassmann_name
 
 
 class ParseError(ValueError):
@@ -421,26 +422,15 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
         else:
             raise ParseError(f"unknown top-level key {key!r}", ln)
 
-    params: dict = {}
-    metric = None
-    metric_line, metric_size = None, 0
-    for ln, key, value in sections["params"]:
-        if key == "metric":
-            m = re.fullmatch(r"diag\s*\(([^)]*)\)", value)
-            if not m:
-                raise ParseError("metric must look like diag(a,b,...)", ln)
-            entries = [_parse_rational(s, ln) for s in m.group(1).split(",")]
-            if 0 in entries:
-                raise ParseError("metric is degenerate", ln)
-            metric_line, metric_size = ln, len(entries)
-            metric = {(i, j): entries[i - 1] if i == j else Fraction(0)
-                      for i, j in itertools.product(range(1, metric_size + 1), repeat=2)}
-        else:
-            params[key] = _parse_rational(value, ln)
-    for k, v in (param_overrides or {}).items():
-        if k not in params:
-            raise ParseError(f"--param {k!r} does not override anything declared in [params]")
-        params[k] = Fraction(v)
+    declared: dict = {}  # name -> (line, kind) of every name the problem declares
+
+    def declare(n: str, kind: str, ln: int):
+        """Record a name; its second declaration, read in the order [chart],
+        [params], momenta, multipliers, is an error."""
+        if n in declared:
+            raise ParseError("chart names must be unique across independents, dependents "
+                             f"and parameters: {kind} {n!r} is already declared", ln)
+        declared[n] = (ln, kind)
 
     ranges: dict = {}
     antisym: dict = {}
@@ -462,10 +452,13 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
                 antisym[fam] = True
         elif key == "independent":
             for tok in value.split():
-                independent.extend(_expand_family(tok, ranges, antisym, ln))
+                for n in _expand_family(tok, ranges, antisym, ln):
+                    declare(n, "independent", ln)
+                    independent.append(n)
         elif key in ("field", "dependent"):
             for tok in value.split():
                 for n in _expand_family(tok, ranges, antisym, ln):
+                    declare(n, "field", ln)
                     dependents.append(Dependent(n, ROLE_FIELD))
         elif key == "jet":
             fieldname, jets = _named(value, ln, "jet = field : j1 j2 ... (one per independent)")
@@ -474,9 +467,6 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
             raise ParseError(f"unknown chart key {key!r}", ln)
     if not independent:
         raise ParseError("at least one independent coordinate is required")
-    if metric is not None and metric_size != len(independent):
-        raise ParseError(f"metric has {metric_size} diagonal entries for "
-                         f"{len(independent)} independent coordinates", metric_line)
     jetted: set = set()
     for ln, fieldname, jets in jet_lines:
         if fieldname not in {d.name for d in dependents}:
@@ -489,13 +479,34 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
         for jn, xn in zip(jets, independent):
             if not _IDENT.fullmatch(jn):
                 raise ParseError(f"bad jet name {jn!r}", ln)
+            declare(jn, "jet", ln)
             dependents.append(Dependent(jn, ROLE_JET, 0, (fieldname, xn)))
-    try:
-        chart = Chart(independent, dependents)
-    except ValueError as err:
-        raise ParseError(str(err))
-    if any(k in chart for k in params):
-        raise ParseError("chart names must be unique across independents, dependents and parameters")
+    chart = Chart(independent, dependents)
+
+    params: dict = {}
+    metric = None
+    metric_line, metric_size = None, 0
+    for ln, key, value in sections["params"]:
+        if key == "metric":
+            m = re.fullmatch(r"diag\s*\(([^)]*)\)", value)
+            if not m:
+                raise ParseError("metric must look like diag(a,b,...)", ln)
+            entries = [_parse_rational(s, ln) for s in m.group(1).split(",")]
+            if 0 in entries:
+                raise ParseError("metric is degenerate", ln)
+            metric_line, metric_size = ln, len(entries)
+            metric = {(i, j): entries[i - 1] if i == j else Fraction(0)
+                      for i, j in itertools.product(range(1, metric_size + 1), repeat=2)}
+        else:
+            declare(key, "parameter", ln)
+            params[key] = _parse_rational(value, ln)
+    for k, v in (param_overrides or {}).items():
+        if k not in params:
+            raise ParseError(f"--param {k!r} does not override anything declared in [params]")
+        params[k] = Fraction(v)
+    if metric is not None and metric_size != len(independent):
+        raise ParseError(f"metric has {metric_size} diagonal entries for "
+                         f"{len(independent)} independent coordinates", metric_line)
 
     ctx = ExprContext(chart=chart, params=params, ranges=ranges,
                       antisym=antisym, metric=metric)
@@ -523,7 +534,6 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
 
     mode = "classical"
     momenta: dict = {}
-    declared: set = set()
     multiplier_shapes: list = []
     for ln, key, value in sections["lepage"]:
         if key == "mode":
@@ -534,10 +544,7 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
             fieldname, names = _named(value, ln, "momenta = field : p1 p2 ...")
             momenta[fieldname] = names.split()
             for n in momenta[fieldname]:
-                if n in chart or n in params or n in declared:
-                    raise ParseError(f"momentum {n!r} is already a coordinate, "
-                                     "parameter or momentum", ln)
-                declared.add(n)
+                declare(n, "momentum", ln)
         elif key == "multiplier":
             multiplier_shapes.append((ln, *_named(value, ln, "multiplier = generator : expr")))
         else:
@@ -555,8 +562,14 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
             raise ParseError(f"{key} must be >= 1", ln)
     seed, maxp, maxs = run["seed"], run["max_prolongations"], run["max_steps"]
 
-    shapes = _resolve_multiplier_shapes(multiplier_shapes, generators, ctx) \
+    shapes = _resolve_multiplier_shapes(multiplier_shapes, generators, ctx, declare) \
         if mode == "griffiths" else []
+    # the Grassmann chart adds Z<dependent>_<independent>; a parameter is no coordinate
+    deps = [n for n, (_, kind) in declared.items() if kind not in ("independent", "parameter")]
+    for z in (grassmann_name(n, x) for n in deps for x in independent):
+        ln, kind = declared.get(z, (None, "parameter"))
+        if kind != "parameter":
+            raise ParseError(f"{kind} {z!r} is reserved for a Grassmann coordinate", ln)
     return ProblemDocument(
         name=name, source=text, chart=chart, metric=metric, params=params,
         lagrangian=lagrangian, generators=generators, mode=mode, momenta=momenta,
@@ -564,12 +577,13 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
         seed=seed, max_prolongations=maxp, max_steps=maxs)
 
 
-def _resolve_multiplier_shapes(lines, generators, ctx: ExprContext):
+def _resolve_multiplier_shapes(lines, generators, ctx: ExprContext, declare):
     """Parse multiplier expressions, discovering new multiplier coordinates.
 
     One parse collects the undeclared names in the order the parser meets
     them (a sum runs its first index outermost) and gives the expression,
-    whose coefficients may hold those names; d() of one is rejected.
+    whose coefficients may hold those names; d() of one is rejected.  Each
+    new name goes to declare(name, "multiplier", line).
 
     An expression must be linear-homogeneous in its new names with horizontal
     coefficients; each new name becomes one multiplier coordinate whose basis
@@ -577,7 +591,6 @@ def _resolve_multiplier_shapes(lines, generators, ctx: ExprContext):
     """
     gen_names = {n for n, _ in generators}
     shapes = []
-    declared: set = set()
     for ln, gname, expr_text in lines:
         if gname not in gen_names:
             raise ParseError(f"multiplier for unknown generator {gname!r}", ln)
@@ -589,9 +602,7 @@ def _resolve_multiplier_shapes(lines, generators, ctx: ExprContext):
         if not new_names:
             raise ParseError("multiplier expression introduces no new coordinate", ln)
         for n in new_names:
-            if n in declared:
-                raise ParseError(f"multiplier {n!r} is already declared", ln)
-            declared.add(n)
+            declare(n, "multiplier", ln)
         basis = []
         for n in new_names:
             coeff_terms = {}

@@ -79,7 +79,7 @@ def _problem_echo(doc: ProblemDocument, hl, ls) -> dict:
         echo["hamilton"] = {
             "base_constraints": [str(c) for c in hl.base_constraints],
             "solved": {k: str(v) for k, v in sorted(hl.solved.bindings.items())},
-            "assumptions": [f"{a} != 0" for a in hl.assumptions],
+            "assumptions": [f"{a} != 0" for a in hl.pfaffian.assumptions],
         }
     return echo
 

@@ -3,12 +3,9 @@
 Everything downstream (differential forms, Pfaffian systems, the constraint
 ladder) runs over the field implemented here.  There is no floating point
 anywhere: zero tests are decidable, canonical forms are unique, and every
-randomized computation is driven by an explicit seed.
-
-A polynomial is a dict mapping monomials to nonzero ``Fraction`` coefficients;
-a monomial is a sorted tuple of ``(name, exponent)`` pairs.  The monomial
-order is graded lexicographic over name-sorted variables, which is chart
-independent and deterministic.
+randomized computation is driven by an explicit seed.  A Scalar is a
+quotient of two polynomials of poly.py, and reaches their terms only
+through poly's functions.
 
 Sparse rows of scalars (form terms, two-form expansions modulo the
 generators, the rows of a linear solve) never hold an explicit zero.  Every
@@ -25,17 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd as _int_gcd
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-Monomial = tuple  # tuple[tuple[str, int], ...]
-Poly = dict  # dict[Monomial, Fraction]
-
-_ONE_MONO: Monomial = ()
-
-
-class DomainError(ArithmeticError):
-    """Division by the zero polynomial, or a substitution hit a zero denominator."""
+from .poly import (DomainError, Poly, p_add, p_clear_den_content, p_const, p_constant,
+                   p_content_sign, p_diff, p_div_exact, p_eval, p_gcd, p_is_one,
+                   p_linear_split, p_mul, p_neg, p_pow, p_residue, p_str,
+                   p_strip_factors, p_sub, p_var, p_variables)
 
 
 class NonLinearInUnknowns(ValueError):
@@ -51,356 +43,8 @@ class AllSamplesDegenerate(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial layer
+# the field
 # ---------------------------------------------------------------------------
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for name, exp in b:
-        merged[name] = merged.get(name, 0) + exp
-    return tuple(sorted(merged.items()))
-
-
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def _mono_key(m: Monomial) -> tuple:
-    """Sort key of the graded lex order: the leading monomial sorts first.
-
-    Higher degree comes first; within a degree, the larger exponent at the
-    first name (ascending) where two monomials differ.  At the first pair
-    where their (name, -exponent) tuples differ, either the names agree and
-    the larger exponent sorts first, or the earlier name is present in one
-    monomial only, which therefore sorts first.
-    """
-    return (-_mono_degree(m), tuple((name, -e) for name, e in m))
-
-
-def p_const(c) -> Poly:
-    c = Fraction(c)
-    return {_ONE_MONO: c} if c else {}
-
-
-def p_var(name: str) -> Poly:
-    return {((name, 1),): Fraction(1)}
-
-
-def p_is_zero(p: Poly) -> bool:
-    return not p
-
-
-def p_is_one(p: Poly) -> bool:
-    return len(p) == 1 and p.get(_ONE_MONO) == 1
-
-
-def p_is_const(p: Poly) -> bool:
-    """True for a nonzero constant polynomial."""
-    return len(p) == 1 and _ONE_MONO in p
-
-
-def p_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
-def p_neg(a: Poly) -> Poly:
-    return {m: -c for m, c in a.items()}
-
-
-def p_sub(a: Poly, b: Poly) -> Poly:
-    return p_add(a, p_neg(b))
-
-
-def p_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return {}
-    out: Poly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = _mono_mul(ma, mb)
-            s = out.get(m, 0) + ca * cb
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
-
-
-def p_pow(a: Poly, n: int) -> Poly:
-    if n < 0:
-        raise ValueError("negative power at polynomial level")
-    out = p_const(1)
-    base = a
-    while n:
-        if n & 1:
-            out = p_mul(out, base)
-        base_needed = n >> 1
-        if base_needed:
-            base = p_mul(base, base)
-        n >>= 1
-    return out
-
-
-def p_diff(a: Poly, name: str) -> Poly:
-    out: Poly = {}
-    for m, c in a.items():
-        for i, (n, e) in enumerate(m):
-            if n == name:
-                if e == 1:
-                    mm = m[:i] + m[i + 1:]
-                else:
-                    mm = m[:i] + ((n, e - 1),) + m[i + 1:]
-                s = out.get(mm, 0) + c * e
-                if s:
-                    out[mm] = s
-                else:
-                    out.pop(mm, None)
-                break
-    return out
-
-
-def p_eval(a: Poly, point: Mapping[str, Fraction]) -> Fraction:
-    total = Fraction(0)
-    for m, c in a.items():
-        v = c
-        for name, e in m:
-            v *= point[name] ** e
-        total += v
-    return total
-
-
-def _residue(value: Fraction, p: int) -> Optional[int]:
-    """A rational coefficient modulo p, or None when p divides its denominator."""
-    d = value.denominator
-    if d == 1:
-        return value.numerator % p
-    if d % p:
-        return value.numerator * pow(d, -1, p) % p
-    return None
-
-
-def _p_residue(a: Poly, point: Mapping[str, int], p: int) -> Optional[int]:
-    """a at a point of residues, modulo p, or None when p divides the
-    denominator of a coefficient."""
-    total = 0
-    for m, c in a.items():
-        v = _residue(c, p)
-        if v is None:
-            return None
-        for name, e in m:
-            v = v * (point[name] if e == 1 else pow(point[name], e, p)) % p
-        total += v
-    return total % p
-
-
-def p_variables(a: Poly) -> set:
-    vs: set = set()
-    for m in a:
-        for name, _ in m:
-            vs.add(name)
-    return vs
-
-
-def p_degree(a: Poly) -> int:
-    return max((_mono_degree(m) for m in a), default=0)
-
-
-def p_leading(a: Poly):
-    m = min(a, key=_mono_key)
-    return m, a[m]
-
-
-def p_content_sign(a: Poly):
-    """Rational content and leading sign: a == sign*content*primitive."""
-    if not a:
-        return Fraction(1), {}
-    num_gcd = 0
-    den_lcm = 1
-    for c in a.values():
-        num_gcd = _int_gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    _, lead = p_leading(a)
-    if lead < 0:
-        content = -content
-    return content, {m: c / content for m, c in a.items()}
-
-
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    db = dict(b)
-    return all(db.get(n, 0) >= e for n, e in a)
-
-
-def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    db = dict(a)
-    for n, e in b:
-        db[n] -= e
-        if not db[n]:
-            del db[n]
-    return tuple(sorted(db.items()))
-
-
-def p_div_exact(a: Poly, b: Poly) -> Optional[Poly]:
-    """Exact polynomial quotient a/b, or None when b does not divide a."""
-    if not b:
-        raise DomainError("division by the zero polynomial")
-    if not a:
-        return {}
-    quot: Poly = {}
-    rem = dict(a)
-    mb, cb = p_leading(b)
-    while rem:
-        ma, ca = p_leading(rem)
-        if not _mono_divides(mb, ma):
-            return None
-        mq = _mono_div(ma, mb)
-        cq = ca / cb
-        quot[mq] = quot.get(mq, 0) + cq
-        rem = p_sub(rem, p_mul({mq: cq}, b))
-    return {m: c for m, c in quot.items() if c}
-
-
-def _as_univariate(a: Poly, x: str) -> dict:
-    """Split off x: dict degree-in-x -> Poly in the remaining variables."""
-    out: dict = {}
-    for m, c in a.items():
-        dx = 0
-        rest = []
-        for n, e in m:
-            if n == x:
-                dx = e
-            else:
-                rest.append((n, e))
-        coeff = out.setdefault(dx, {})
-        key = tuple(rest)
-        s = coeff.get(key, 0) + c
-        if s:
-            coeff[key] = s
-        else:
-            coeff.pop(key, None)
-    return {d: c for d, c in out.items() if c}
-
-
-def _from_univariate(u: dict, x: str) -> Poly:
-    out: Poly = {}
-    for d, coeff in u.items():
-        for m, c in coeff.items():
-            mm = _mono_mul(m, ((x, d),) if d else ())
-            s = out.get(mm, 0) + c
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
-    return out
-
-
-def _u_degree(u: dict) -> int:
-    return max(u) if u else -1
-
-
-def _u_pseudo_rem(a: dict, b: dict, x: str) -> dict:
-    """Pseudo-remainder of univariate-in-x polynomials with Poly coefficients."""
-    da, db = _u_degree(a), _u_degree(b)
-    lb = b[db]
-    rem = {d: dict(c) for d, c in a.items()}
-    while rem and _u_degree(rem) >= db:
-        dr = _u_degree(rem)
-        lr = rem[dr]
-        # rem := lb*rem - lr*x^(dr-db)*b
-        new: dict = {}
-        for d, c in rem.items():
-            new[d] = p_mul(c, lb)
-        for d, c in b.items():
-            t = p_mul(lr, c)
-            dd = d + dr - db
-            new[dd] = p_sub(new.get(dd, {}), t)
-        rem = {d: c for d, c in new.items() if c}
-    return rem
-
-
-def _p_content_poly(u: dict) -> Poly:
-    """gcd of the Poly coefficients of a univariate decomposition."""
-    coeffs = list(u.values())
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = p_gcd(g, c)
-        if p_degree(g) == 0:
-            break
-    return g
-
-
-def p_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive positive-leading gcd over the rationals."""
-    if not a and not b:
-        return {}
-    if not a:
-        _, prim = p_content_sign(b)
-        return prim
-    if not b:
-        _, prim = p_content_sign(a)
-        return prim
-    if p_degree(a) == 0 or p_degree(b) == 0:
-        return p_const(1)
-    # common monomial factor (cheap and frequent)
-    common: dict = None
-    for p in (a, b):
-        for m in p:
-            dm = dict(m)
-            if common is None:
-                common = dm
-            else:
-                common = {n: min(e, dm.get(n, 0)) for n, e in common.items() if dm.get(n, 0)}
-            if not common:
-                break
-        if not common:
-            break
-    mono = tuple(sorted((n, e) for n, e in (common or {}).items() if e))
-    if mono:
-        a = {_mono_div(m, mono): c for m, c in a.items()}
-        b = {_mono_div(m, mono): c for m, c in b.items()}
-        mono_g: Poly = {mono: Fraction(1)}
-    else:
-        mono_g = p_const(1)
-    if len(a) == 1 or len(b) == 1:
-        # a gcd with a single term is a monomial, and no variable is common
-        # to every term any more
-        return mono_g
-    va, vb = p_variables(a), p_variables(b)
-    shared = sorted(va & vb)
-    if not shared:
-        return mono_g
-    x = shared[0]
-    ua, ub = _as_univariate(a, x), _as_univariate(b, x)
-    ca, cb = _p_content_poly(ua), _p_content_poly(ub)
-    cont_g = p_gcd(ca, cb)
-    pa = {d: p_div_exact(c, ca) for d, c in ua.items()}
-    pb = {d: p_div_exact(c, cb) for d, c in ub.items()}
-    if _u_degree(pa) < _u_degree(pb):
-        pa, pb = pb, pa
-    while pb:
-        r = _u_pseudo_rem(pa, pb, x)
-        if r:
-            # clear the polynomial and the rational content, or the
-            # coefficients of the remainder sequence grow without bound
-            cr = _p_content_poly(r)
-            r = {d: p_div_exact(c, cr) for d, c in r.items()}
-            r = _as_univariate(p_content_sign(_from_univariate(r, x))[1], x)
-        pa, pb = pb, r
-    g = p_mul(p_mul(_from_univariate(pa, x), cont_g), mono_g)
-    _, prim = p_content_sign(g)
-    return prim
-
 
 def _cancel(a: Poly, b: Poly):
     """a and b divided by their primitive positive-leading gcd."""
@@ -409,33 +53,6 @@ def _cancel(a: Poly, b: Poly):
         return a, b
     return p_div_exact(a, g), p_div_exact(b, g)
 
-
-def p_str(a: Poly) -> str:
-    if not a:
-        return "0"
-    parts = []
-    for m in sorted(a, key=_mono_key):
-        c = a[m]
-        factors = []
-        for name, e in m:
-            factors.append(name if e == 1 else f"{name}^{e}")
-        body = "*".join(factors)
-        mag = abs(c)
-        if body:
-            txt = body if mag == 1 else f"{mag}*{body}"
-        else:
-            txt = str(mag)
-        parts.append(("-" if c < 0 else "+", txt))
-    sign, first = parts[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, txt in parts[1:]:
-        out += f" {sign} {txt}"
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the field
-# ---------------------------------------------------------------------------
 
 class Scalar:
     """A multivariate rational function in canonical form.
@@ -468,16 +85,13 @@ class Scalar:
         if _canonical:
             self.num, self.den = num, den
             return
-        if p_is_zero(den):
+        if not den:
             raise DomainError("division by the zero polynomial")
-        if p_is_zero(num):
+        if not num:
             self.num, self.den = {}, p_const(1)
             return
         if not p_is_one(den):
-            num, den = _cancel(num, den)
-            content, prim = p_content_sign(den)
-            den = prim
-            num = {m: c / content for m, c in num.items()}
+            num, den = p_clear_den_content(*_cancel(num, den))
         self.num, self.den = num, den
 
     # -- constructors ------------------------------------------------------
@@ -497,11 +111,15 @@ class Scalar:
 
     def as_constant(self) -> Optional[Fraction]:
         """The value as a rational constant, or None when variables occur."""
-        if not self.num:
-            return Fraction(0)
-        if p_is_one(self.den) and p_is_const(self.num):
-            return self.num[_ONE_MONO]
-        return None
+        return p_constant(self.num) if p_is_one(self.den) else None
+
+    def is_compound(self) -> bool:
+        """True when str(self) is a quotient or a sum, which a product brackets."""
+        return not p_is_one(self.den) or len(self.num) > 1
+
+    def is_multiple_of(self, other: "Scalar") -> bool:
+        """True when the numerator of other divides the numerator of self."""
+        return p_div_exact(self.num, other.num) is not None
 
     def variables(self) -> set:
         return p_variables(self.num) | p_variables(self.den)
@@ -564,9 +182,9 @@ class Scalar:
         if not self.num or not o.num:
             return Scalar.const(0)
         a, b, c, d = self.num, self.den, o.num, o.den
-        if not (p_is_one(d) or p_is_const(a)):
+        if not (p_is_one(d) or p_constant(a) is not None):
             a, d = _cancel(a, d)
-        if not (p_is_one(b) or p_is_const(c)):
+        if not (p_is_one(b) or p_constant(c) is not None):
             c, b = _cancel(c, b)
         den = d if p_is_one(b) else b if p_is_one(d) else p_mul(b, d)
         return Scalar(p_mul(a, c), den, _canonical=True)
@@ -588,8 +206,7 @@ class Scalar:
             d, b = _cancel(d, b)
         num = p_mul(a, d)
         if not p_is_one(c):
-            content, c = p_content_sign(c)
-            num = {m: v / content for m, v in num.items()}
+            num, c = p_clear_den_content(num, c)
         return Scalar(num, p_mul(b, c), _canonical=True)
 
     def __rtruediv__(self, other):
@@ -650,17 +267,23 @@ class Scalar:
         mine = self.variables()
         if not any(n in mine for n in bindings):
             return self
-        num = _p_subst(self.num, bindings)
-        den = _p_subst(self.den, bindings)
+
+        def power(name, e):
+            b = bindings.get(name)
+            return b ** e if b is not None else Scalar(p_var(name, e), None, _canonical=True)
+        num = p_eval(self.num, Scalar.const, power)
+        den = p_eval(self.den, Scalar.const, power)
         if den.is_zero():
             raise DomainError(f"substitution produced a zero denominator in {self}")
         return num / den
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        d = p_eval(self.den, point)
+        def power(name, e):
+            return point[name] ** e
+        d = p_eval(self.den, Fraction, power)
         if d == 0:
             raise ZeroDivisionError("denominator vanished at the sample point")
-        return p_eval(self.num, point) / d
+        return p_eval(self.num, Fraction, power) / d
 
     def residue(self, point: Mapping[str, int], p: int) -> Optional[int]:
         """The value mod p at a point of residues mod p, or None when it has
@@ -669,10 +292,10 @@ class Scalar:
 
         Numerator and denominator are evaluated with int arithmetic mod p.
         """
-        n = _p_residue(self.num, point, p)
+        n = p_residue(self.num, point, p)
         if p_is_one(self.den):
             return n
-        d = _p_residue(self.den, point, p)
+        d = p_residue(self.den, point, p)
         return None if n is None or not d else n * pow(d, -1, p) % p
 
     # -- normalization for reporting ----------------------------------------
@@ -687,6 +310,12 @@ class Scalar:
             return Scalar.const(0)
         _, prim = p_content_sign(self.num)
         return Scalar(prim, None, _canonical=True)
+
+    def strip_factors(self, factors: Iterable["Scalar"]) -> "Scalar":
+        """The numerator with every factor it shares with a nonconstant one of
+        factors divided out, as often as it divides (poly.p_strip_factors)."""
+        nonconstant = (f.num for f in factors if f.as_constant() is None)
+        return Scalar(p_strip_factors(self.num, nonconstant), None, _canonical=True)
 
     def __str__(self):
         if p_is_one(self.den):
@@ -713,17 +342,6 @@ def add_into(row: dict, key, value: Scalar) -> None:
         row.pop(key, None)
     else:
         row[key] = s
-
-
-def _p_subst(p: Poly, bindings: Mapping[str, Scalar]) -> Scalar:
-    total = Scalar.const(0)
-    for m, c in p.items():
-        term = Scalar.const(c)
-        for name, e in m:
-            b = bindings.get(name)
-            term = term * (b ** e if b is not None else Scalar({((name, e),): Fraction(1)}, None, _canonical=True))
-        total = total + term
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -840,34 +458,12 @@ class LinearSolveResult:
 def _linear_split(eq: Scalar, unknowns: Sequence[str]):
     """Write eq as sum(coeff[u]*u) + const, or None when not affine-linear."""
     uset = set(unknowns)
-    if p_variables(eq.den) & uset:
+    split = None if p_variables(eq.den) & uset else p_linear_split(eq.num, uset)
+    if split is None:
         return None
-    coeffs: dict = {}
-    const: Poly = {}
-    for m, c in eq.num.items():
-        hit = None
-        for name, e in m:
-            if name in uset:
-                if hit is not None or e > 1:
-                    return None
-                hit = name
-        if hit is None:
-            s = const.get(m, 0) + c
-            if s:
-                const[m] = s
-            else:
-                const.pop(m, None)
-        else:
-            rest = tuple(p for p in m if p[0] != hit)
-            cur = coeffs.setdefault(hit, {})
-            s = cur.get(rest, 0) + c
-            if s:
-                cur[rest] = s
-            else:
-                cur.pop(rest, None)
+    coeffs, const = split
     den = Scalar(eq.den, None, _canonical=True)
-    out = {u: Scalar(p, None) / den for u, p in coeffs.items() if p}
-    return out, Scalar(const, None) / den
+    return {u: Scalar(p, None) / den for u, p in coeffs.items()}, Scalar(const, None) / den
 
 
 def solve_linear(eqs: Sequence[Scalar], unknowns: Sequence[str]) -> LinearSolveResult:
@@ -881,6 +477,12 @@ def solve_linear(eqs: Sequence[Scalar], unknowns: Sequence[str]) -> LinearSolveR
     res = solve_rows([row for _, row in split if row is not None], unknowns)
     res.nonlinear = [eq for eq, row in split if row is None]
     return res
+
+
+def pivot_key(c: Scalar) -> tuple:
+    """Pivot preference, least first: constants, then fewer numerator terms.
+    Each caller appends its own tie-break."""
+    return (c.as_constant() is None, len(c.num))
 
 
 def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveResult:
@@ -905,7 +507,7 @@ def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveRes
             c = coeffs.get(u)
             if c is None:
                 continue
-            rank = (0 if c.as_constant() is not None else 1, len(c.num), idx)
+            rank = (pivot_key(c), idx)
             if best is None or rank < best[0]:
                 best = (rank, idx)
         if best is None:
@@ -936,15 +538,9 @@ def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveRes
             else:
                 expr = expr + c * Scalar.var(v)
         resolved[u] = expr
-    residual = []
-    for coeffs, const in rows:
-        if coeffs:  # unreachable for a consistent elimination, kept as a guard
-            expr = const
-            for v, c in coeffs.items():
-                expr = expr + c * Scalar.var(v)
-            residual.append(expr)
-        elif not const.is_zero():
-            residual.append(const)
+    # every key of a row is an unknown, eliminated from every row left at its
+    # turn; rows gain keys only from pivot rows, so the rows left are empty
+    residual = [const for _, const in rows if not const.is_zero()]
     free = [u for u in unknowns if u not in resolved]
     return LinearSolveResult(solved={u: resolved[u] for u in order},
                              residual=residual, free=free, assumptions=assumptions)

@@ -178,15 +178,30 @@ multiplier = th : p*d(x)
      "field 'w' already has jets (line 11)"),
     (fixture_text("saunders") + "[params]\nmetric = diag(2,1)\n",
      "|det| has to be a perfect square (line 13)"),
+    (fixture_text("saunders").replace("w : w_x w_y", "w : w_x u_x"),
+     "jet 'u_x' is already declared (line 10)"),
+    (fixture_text("saunders").replace("field = u v w", "field = u v w x"),
+     "field 'x' is already declared (line 7)"),
+    (fixture_text("saunders") + "[params]\nu_x = 2\n",
+     "parameter 'u_x' is already declared (line 29)"),
+    (fixture_text("saunders").replace("field = u v w", "field = u v w Zu_x"),
+     "field 'Zu_x' is reserved for a Grassmann coordinate (line 7)"),
+    (fixture_text("saunders").replace("m*d(x) + n*d(y)", "m*d(x) + Zu_y*d(y)"),
+     "multiplier 'Zu_y' is reserved for a Grassmann coordinate (line 22)"),
 ], ids=["explicit-without-theta", "metric-index-out-of-range",
         "unclosed-multiplier-index", "multiplier-uses-builtin", "multiplier-differential",
         "generator-mixes-form-degrees", "zero-parameter-to-negative-power",
         "zero-to-negative-power", "multiplier-name-twice", "generator-name-twice",
-        "second-multiplier-line", "second-jet-line", "metric-without-rational-root"])
+        "second-multiplier-line", "second-jet-line", "metric-without-rational-root",
+        "jet-named-like-a-jet", "field-named-like-an-independent",
+        "parameter-named-like-a-jet", "field-named-like-a-grassmann-coordinate",
+        "multiplier-named-like-a-grassmann-coordinate"])
 def test_malformed_input_exit_65(tmp_path, capsys, text, message):
     # the first three, "generator-mixes-form-degrees" to "generator-name-twice"
-    # used to escape as KeyError/IndexError/ValueError/DomainError (exit 70);
-    # a second multiplier or jet line for one name used to be taken silently
+    # and the two Grassmann-coordinate names used to escape as
+    # KeyError/IndexError/ValueError/DomainError (exit 70); a second
+    # multiplier or jet line for one name used to be taken silently, and the
+    # other name clashes exited 65 without naming their line
     bad = tmp_path / "bad.prob"
     bad.write_text(text)
     code, out, err = run_cli(capsys, "analyze", str(bad))

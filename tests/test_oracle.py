@@ -1,8 +1,9 @@
 """Differential checks of the exact arithmetic against sympy.
 
 sympy is an optional test oracle: the module is skipped when it is not
-installed.  Each property compares one kernel of ``cartaneds.scalars`` with
-an independent implementation on small random inputs over Q[x, y].
+installed.  Each property compares one kernel of ``cartaneds.poly`` (the
+gcd) or ``cartaneds.scalars`` with an independent implementation on small
+random inputs over Q[x, y].
 """
 
 from fractions import Fraction
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from cartaneds.scalars import Scalar, p_gcd, random_rank, solve_linear  # noqa: E402
+from cartaneds.poly import p_gcd  # noqa: E402
+from cartaneds.scalars import Scalar, random_rank, solve_linear  # noqa: E402
 
 X, Y = sympy.symbols("x y")
 
