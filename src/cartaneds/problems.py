@@ -422,14 +422,14 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
         else:
             raise ParseError(f"unknown top-level key {key!r}", ln)
 
-    declared: dict = {}  # name -> (line, kind) of every name the problem declares
+    declared: dict = {}  # name -> (line, kind); read [chart], [params], momenta, multipliers
 
     def declare(n: str, kind: str, ln: int):
-        """Record a name; its second declaration, read in the order [chart],
-        [params], momenta, multipliers, is an error."""
+        """Record a name; a second declaration of it is an error at its line."""
         if n in declared:
-            raise ParseError("chart names must be unique across independents, dependents "
-                             f"and parameters: {kind} {n!r} is already declared", ln)
+            prefix = "chart names must be unique across independents, dependents and " \
+                "parameters: " if kind == "parameter" else ""
+            raise ParseError(f"{prefix}{kind} {n!r} is already declared", ln)
         declared[n] = (ln, kind)
 
     ranges: dict = {}
@@ -567,8 +567,8 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
     # the Grassmann chart adds Z<dependent>_<independent>; a parameter is no coordinate
     deps = [n for n, (_, kind) in declared.items() if kind not in ("independent", "parameter")]
     for z in (grassmann_name(n, x) for n in deps for x in independent):
-        ln, kind = declared.get(z, (None, "parameter"))
-        if kind != "parameter":
+        if z in declared and declared[z][1] != "parameter":
+            ln, kind = declared[z]
             raise ParseError(f"{kind} {z!r} is reserved for a Grassmann coordinate", ln)
     return ProblemDocument(
         name=name, source=text, chart=chart, metric=metric, params=params,

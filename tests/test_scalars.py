@@ -386,16 +386,27 @@ def test_monomial_key_is_the_grlex_order(a, b):
         assert p_leading({a: Fraction(1), b: Fraction(2)})[0] == lead
 
 
+def count_calls(monkeypatch, calls, *names):
+    """Record every call of the named poly kernels in `calls`, both the calls
+    Scalar makes through its scalars binding and the recursive calls inside
+    poly."""
+    for name in names:
+        kernel = getattr(poly, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            calls.append((name,) + args)
+            return kernel(*args)
+        monkeypatch.setattr(poly, name, counted)
+        monkeypatch.setattr(scalars, name, counted)
+
+
 def test_trivial_operands_skip_the_gcd(monkeypatch):
     x, y = V("x"), V("y")
     s = (x ** 2 + y) / (3 * x * y + 1)
     scaled = Scalar({m: c * Fraction(2, 3) for m, c in s.num.items()}, s.den)
     a, b = (x + 2) / (x + 1), (y - 3) / (y + 1)
     calls = []
-    for name in ("p_gcd", "p_div_exact"):
-        kernel = getattr(scalars, name)
-        monkeypatch.setattr(scalars, name, lambda *args, name=name, kernel=kernel:
-                            calls.append((name,) + args) or kernel(*args))
+    count_calls(monkeypatch, calls, "p_gcd", "p_div_exact")
     assert s + 0 == s and 0 + s == s and s - 0 == s
     assert s * 1 == s and 1 * s == s
     assert s * Fraction(2, 3) == scaled and C(Fraction(2, 3)) * s == scaled
@@ -414,8 +425,7 @@ def test_gcd_with_a_monomial_takes_no_remainder_sequence(monkeypatch):
     a = ((x + u + y + 1) ** 2 - 3 * x * u * y) / (u ** 2 * y)
     b = ((2 * x - u + 3 * y - 1) ** 2 + x * u) / (u * y ** 2)
     calls = []
-    kernel = scalars.p_gcd
-    monkeypatch.setattr(scalars, "p_gcd", lambda *args: calls.append(args) or kernel(*args))
+    count_calls(monkeypatch, calls, "p_gcd")
     total = a + b
     assert len(calls) == 2
     monkeypatch.undo()
