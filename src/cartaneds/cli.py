@@ -8,9 +8,11 @@
 Exit codes: 0 involutive, 1 empty locus, 2 needs-user-branch,
 3 budget exceeded, 64 usage (including a budget below 1),
 65 parse/validation error (including a problem file that cannot be read or
-is not UTF-8), 70 internal error (degenerate rank sampling, generators out
-of reduced form, a nonlinear Pfaffian, a violated Cartan inequality, a
-colliding prolongation coordinate name, or any other unexpected exception),
+is not UTF-8, and names that clash: two declared names, a declared name and
+a Grassmann coordinate, two Grassmann coordinates, or a prolongation
+coordinate and a chart coordinate), 70 internal error (degenerate rank
+sampling, generators out of reduced form, a nonlinear Pfaffian, a violated
+Cartan inequality, or any other unexpected exception),
 73 the --out file cannot be created (its directory is checked before the
 analysis runs).  Exits 65, 70 and 73 print one `error:` line.
 """
@@ -25,6 +27,7 @@ from pathlib import Path
 
 from .hamilton import DegreeMismatch, MissingJetStructure
 from .ladder import VERDICT_BRANCH, VERDICT_BUDGET, VERDICT_EMPTY, VERDICT_INVOLUTIVE
+from .pfaffian import NameClash
 from .problems import ParseError, parse_problem
 from .report import analyze, emit
 from .scalars import NonLinearInUnknowns
@@ -167,7 +170,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args)
         return cmd_fixtures(args)
-    except (ParseError, DegreeMismatch, MissingJetStructure) as err:
+    except (ParseError, DegreeMismatch, MissingJetStructure, NameClash) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except NonLinearInUnknowns as err:

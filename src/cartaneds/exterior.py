@@ -207,8 +207,6 @@ class Substitution:
                 else:
                     dn = Form.scalar(self.chart, b).d()
                 term = term.wedge(dn)
-            if a.degree and term.degree != a.degree:
-                term = Form(self.chart, a.degree, term.terms)
             out = out + term
         return out
 

@@ -173,10 +173,8 @@ def grassmann_extend(ls: LepageSpace) -> Chart:
     new = []
     for d in ls.chart.dependent:
         for x in ls.chart.independent:
-            n = grassmann_name(d.name, x)
-            if n in ls.chart:
-                raise ValueError(f"Grassmann coordinate {n} collides with the chart")
-            new.append(Dependent(n, role=ROLE_GRASSMANN, level=1, parent=(d.name, x)))
+            new.append(Dependent(grassmann_name(d.name, x), role=ROLE_GRASSMANN,
+                                 level=1, parent=(d.name, x)))
     return ls.chart.extend(new)
 
 

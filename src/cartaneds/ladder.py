@@ -37,6 +37,9 @@ VERDICT_EMPTY = "empty"
 VERDICT_BUDGET = "budget_exceeded"
 VERDICT_BRANCH = "needs_user_branch"
 
+# the run of a problem whose [run] table leaves a key out
+SEED, MAX_PROLONGATIONS, MAX_STEPS = 0, 4, 32
+
 
 @dataclass
 class LadderStep:
@@ -117,7 +120,7 @@ def _restrict_with_policy(sys: PfaffianSystem, constraints: Sequence[Scalar]):
 
 
 def run_system(sys: PfaffianSystem, subst: Substitution, seed: int,
-               max_prolongations: int = 4, max_steps: int = 32,
+               max_prolongations: int = MAX_PROLONGATIONS, max_steps: int = MAX_STEPS,
                hamilton: Optional[HamiltonLocus] = None) -> ConstraintLadder:
     """Drive the constraint loop on an existing Pfaffian system."""
     if max_prolongations < 1 or max_steps < 1:
@@ -183,8 +186,8 @@ def run_system(sys: PfaffianSystem, subst: Substitution, seed: int,
     return ConstraintLadder(steps, sys, VERDICT_BUDGET, subst, hamilton)
 
 
-def run(hl: HamiltonLocus, seed: int, max_prolongations: int = 4,
-        max_steps: int = 32) -> ConstraintLadder:
+def run(hl: HamiltonLocus, seed: int, max_prolongations: int = MAX_PROLONGATIONS,
+        max_steps: int = MAX_STEPS) -> ConstraintLadder:
     """Run the constraint algorithm on a Hamilton Pfaffian."""
     return run_system(hl.pfaffian, hl.solved, seed,
                       max_prolongations=max_prolongations,

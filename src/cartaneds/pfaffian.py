@@ -35,6 +35,11 @@ class NotLinearPfaffian(ValueError):
     """Structure equations contain pi /\\ pi terms."""
 
 
+class NameClash(ValueError):
+    """A prolongation coordinate would take the name of a chart coordinate:
+    the names of the input collide, not the engine."""
+
+
 @dataclass
 class PfaffianSystem:
     chart: Chart
@@ -167,68 +172,52 @@ class StructureEquations:
 
 
 def structure_equations(sys: PfaffianSystem) -> StructureEquations:
-    """Exact tableau and raw torsion of dtheta^a modulo the generators,
-    with the absorption system solved once for everything read off it."""
-    m = sys.m
-    exp = CoframeExpansion(sys.chart, sys.generators, sys.pivots)
-    tableau: dict = {}
-    torsion: dict = {}
-    for a, g in enumerate(sys.generators):
-        # labels run omega (below m), then pi, and keys satisfy i < j, so a
-        # pair is (om, om), (om, pi) or (pi, pi)
-        for (i, j), c in exp.expand_two_form(g.d()).items():
-            if j < m:
-                torsion[(a, i, j)] = c
-            elif i < m:
-                tableau[(a, j - m, i)] = -c
-            else:
-                raise NotLinearPfaffian(f"pi/\\pi term with coefficient {c} in d(theta_{a})")
-    rows, unknowns, slopes = _absorption_system(sys, tableau, torsion)
-    return StructureEquations(system=sys, tableau=tableau, torsion_raw=torsion,
-                              absorption=solve_rows(rows, unknowns), slopes=slopes)
-
-
-def _absorption_system(sys: PfaffianSystem, tableau: dict, torsion: dict):
-    """The inhomogeneous linear system for integral elements over a point,
-    as solve_rows rows.
+    """Exact tableau and raw torsion of dtheta^a modulo the generators, with
+    the absorption system for integral elements over a point solved once.
 
     Unknown p_{e,i} is the omega^i-slope of pi^e; its name doubles as the
     coordinate name a prolongation would introduce.  The row of generator a
     and independence pair i < j reads
     T^a_{ij} + sum_e (A^a_{ej} p_{e,i} - A^a_{ei} p_{e,j}) = 0; each slope
-    occurs in it at most once, so the tableau entries are its coefficients.
+    occurs in it at most once, so the rows are filled as the expansion of
+    dtheta^a is read: a torsion term is the constant of its row, and a
+    tableau entry A^a_{ek} the coefficient of p_{e,i} in row (a, i, k) for
+    i < k and, negated, of p_{e,j} in row (a, k, j) for j > k.
     The elimination order is reversed declaration order, which keeps the
     slopes of earlier complement directions free (the parametrization whose
     coordinate names the worked character ladders are calibrated against).
     """
-    m = sys.m
-    complement = sys.complement
-    rows = []
-    unknowns = []
-    uname = {}
-    for e, en in enumerate(complement):
-        for i, xn in enumerate(sys.chart.independent):
-            n = f"{en}_{xn}"
-            if n in sys.chart:
-                raise RuntimeError(f"prolongation coordinate {n} collides with the chart")
-            uname[(e, i)] = n
-            unknowns.append(n)
-    unknowns.reverse()
-    for a in range(len(sys.generators)):
-        for i in range(m):
-            for j in range(i + 1, m):
-                coeffs = {}
-                for e in range(len(complement)):
-                    aej = tableau.get((a, e, j))
-                    if aej is not None:
-                        coeffs[uname[(e, i)]] = aej
-                    aei = tableau.get((a, e, i))
-                    if aei is not None:
-                        coeffs[uname[(e, j)]] = -aei
-                const = torsion.get((a, i, j), ZERO)
-                if coeffs or not const.is_zero():
-                    rows.append((coeffs, const))
-    return rows, unknowns, uname
+    m, chart = sys.m, sys.chart
+    slopes = {}
+    for e, en in enumerate(sys.complement):
+        for i, xn in enumerate(chart.independent):
+            slopes[(e, i)] = n = f"{en}_{xn}"
+            if n in chart:
+                d = next((d for d in chart.dependent if d.name == n), None)
+                was = f"the {d.parent[1]}-slope of {d.parent[0]}" if d and d.parent else "declared"
+                raise NameClash(f"prolongation coordinate {n!r} would be the {xn}-slope of "
+                                f"{en}, but is already a chart coordinate ({was})")
+    exp = CoframeExpansion(chart, sys.generators, sys.pivots)
+    tableau, torsion, coeffs = {}, {}, {}     # coeffs: (a, i, j) -> {slope: Scalar}
+    for a, g in enumerate(sys.generators):
+        # labels run omega (below m), then pi, and keys satisfy k < j, so a
+        # pair is (om, om), (om, pi) or (pi, pi)
+        for (k, j), c in exp.expand_two_form(g.d()).items():
+            if j < m:
+                torsion[(a, k, j)] = c
+            elif k < m:
+                e = j - m
+                tableau[(a, e, k)] = -c
+                for i in range(k):
+                    coeffs.setdefault((a, i, k), {})[slopes[(e, i)]] = -c
+                for i in range(k + 1, m):
+                    coeffs.setdefault((a, k, i), {})[slopes[(e, i)]] = c
+            else:
+                raise NotLinearPfaffian(f"pi/\\pi term with coefficient {c} in d(theta_{a})")
+    rows = [(coeffs.get(key, {}), torsion.get(key, ZERO))
+            for key in sorted(coeffs.keys() | torsion.keys())]
+    return StructureEquations(system=sys, tableau=tableau, torsion_raw=torsion, slopes=slopes,
+                              absorption=solve_rows(rows, list(reversed(slopes.values()))))
 
 
 def essential_torsion(se: StructureEquations) -> list:

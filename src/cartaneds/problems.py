@@ -26,6 +26,7 @@ from typing import Optional
 from .scalars import Chart, Dependent, Scalar, ROLE_FIELD, ROLE_JET
 from .exterior import Form, volume_contraction, volume_form
 from .hamilton import grassmann_name
+from .ladder import MAX_PROLONGATIONS, MAX_STEPS, SEED
 
 
 class ParseError(ValueError):
@@ -349,9 +350,9 @@ class ProblemDocument:
     momenta: dict                      # classical: field -> [names]
     multiplier_shapes: list            # griffiths: [(gen, [(mult, Form basis)])]
     theta: Optional[Form]              # explicit
-    seed: int = 0
-    max_prolongations: int = 4
-    max_steps: int = 32
+    seed: int
+    max_prolongations: int
+    max_steps: int
 
 
 _SECTIONS = ("chart", "forms", "lepage", "params", "run")
@@ -550,7 +551,7 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
         else:
             raise ParseError(f"unknown lepage key {key!r}", ln)
 
-    run = {"seed": 0, "max_prolongations": 4, "max_steps": 32}
+    run = {"seed": SEED, "max_prolongations": MAX_PROLONGATIONS, "max_steps": MAX_STEPS}
     for ln, key, value in sections["run"]:
         if key not in run:
             raise ParseError(f"unknown run key {key!r}", ln)
@@ -560,21 +561,26 @@ def parse_problem(text: str, param_overrides: Optional[dict] = None) -> ProblemD
             raise ParseError(f"run key {key!r} needs an integer, got {value!r}", ln)
         if key != "seed" and run[key] < 1:
             raise ParseError(f"{key} must be >= 1", ln)
-    seed, maxp, maxs = run["seed"], run["max_prolongations"], run["max_steps"]
 
     shapes = _resolve_multiplier_shapes(multiplier_shapes, generators, ctx, declare) \
         if mode == "griffiths" else []
-    # the Grassmann chart adds Z<dependent>_<independent>; a parameter is no coordinate
+    # the Grassmann chart adds Z<dependent>_<independent>; a parameter is no coordinate,
+    # and the join is not injective once names hold '_'
     deps = [n for n, (_, kind) in declared.items() if kind not in ("independent", "parameter")]
-    for z in (grassmann_name(n, x) for n in deps for x in independent):
+    pairs: dict = {}  # Grassmann name -> (dependent, independent)
+    for z, pair in ((grassmann_name(n, x), (n, x)) for n in deps for x in independent):
         if z in declared and declared[z][1] != "parameter":
             ln, kind = declared[z]
             raise ParseError(f"{kind} {z!r} is reserved for a Grassmann coordinate", ln)
+        if z in pairs:
+            ln = max(declared[n][0] for n in pairs[z] + pair)
+            raise ParseError(f"Grassmann coordinate {z!r} would stand for both "
+                             f"{pairs[z]} and {pair}", ln)
+        pairs[z] = pair
     return ProblemDocument(
         name=name, source=text, chart=chart, metric=metric, params=params,
         lagrangian=lagrangian, generators=generators, mode=mode, momenta=momenta,
-        multiplier_shapes=shapes, theta=theta,
-        seed=seed, max_prolongations=maxp, max_steps=maxs)
+        multiplier_shapes=shapes, theta=theta, **run)
 
 
 def _resolve_multiplier_shapes(lines, generators, ctx: ExprContext, declare):

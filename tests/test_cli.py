@@ -138,6 +138,18 @@ def test_metric_size_mismatch_exit_65(tmp_path, capsys, metric, size):
     assert f"metric has {size} diagonal entries for 4 independent" in err
 
 
+def prolongation_clash_text(third: str) -> str:
+    """field-prolongation with its third independent renamed and jets without
+    '_': with third = t_x, the x-slope of Zwt_t is named Zwt_t_x, the
+    Grassmann coordinate of wt along t_x."""
+    text = fixture_text("field-prolongation").replace("independent = t x y",
+                                                      f"independent = t x {third}")
+    for f in "uvw":
+        text = text.replace(f"{f}_t {f}_x {f}_y", f"{f}t {f}x {f}y")
+    return text.replace("(1/2)*(u_t^2 + y*u_x^2) + v_y*u_y + v*w",
+                        f"(1/2)*(ut^2 + {third}*ux^2) + vy*uy + v*w")
+
+
 THW = "generator = thw : d(w) - w_x*d(x) - w_y*d(y)\n"
 GRIFFITHS_PROBLEM = """name = g
 [chart]
@@ -188,6 +200,12 @@ multiplier = th : p*d(x)
      "field 'Zu_x' is reserved for a Grassmann coordinate (line 7)"),
     (fixture_text("saunders").replace("m*d(x) + n*d(y)", "m*d(x) + Zu_y*d(y)"),
      "multiplier 'Zu_y' is reserved for a Grassmann coordinate (line 22)"),
+    ("name = g\n[chart]\nindependent = y x_y\nfield = u u_x\n[forms]\nlagrangian = u*u_x\n"
+     "theta = u*u_x*d(y)/\\d(x_y)\n[lepage]\nmode = explicit\n",
+     "Grassmann coordinate 'Zu_x_y' would stand for both ('u', 'x_y') and ('u_x', 'y') "
+     "(line 4)"),
+    (prolongation_clash_text("t_x"), "prolongation coordinate 'Zwt_t_x' would be the "
+     "x-slope of Zwt_t, but is already a chart coordinate (the t_x-slope of wt)"),
 ], ids=["explicit-without-theta", "metric-index-out-of-range",
         "unclosed-multiplier-index", "multiplier-uses-builtin", "multiplier-differential",
         "generator-mixes-form-degrees", "zero-parameter-to-negative-power",
@@ -195,11 +213,13 @@ multiplier = th : p*d(x)
         "second-multiplier-line", "second-jet-line", "metric-without-rational-root",
         "jet-named-like-a-jet", "field-named-like-an-independent",
         "parameter-named-like-a-jet", "field-named-like-a-grassmann-coordinate",
-        "multiplier-named-like-a-grassmann-coordinate"])
+        "multiplier-named-like-a-grassmann-coordinate", "two-grassmann-names-coincide",
+        "prolongation-coordinate-named-like-a-grassmann-coordinate"])
 def test_malformed_input_exit_65(tmp_path, capsys, text, message):
     # the first three, "generator-mixes-form-degrees" to "generator-name-twice"
-    # and the two Grassmann-coordinate names used to escape as
-    # KeyError/IndexError/ValueError/DomainError (exit 70); a second
+    # and the three Grassmann-coordinate names used to escape as
+    # KeyError/IndexError/ValueError/DomainError (exit 70), and the last one
+    # as a RuntimeError from the absorption system; a second
     # multiplier or jet line for one name used to be taken silently, and the
     # other name clashes exited 65 without naming their line
     bad = tmp_path / "bad.prob"
@@ -209,6 +229,15 @@ def test_malformed_input_exit_65(tmp_path, capsys, text, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_prolongation_names_without_a_clash_run(tmp_path, capsys):
+    # the twin of the clashing names above with y for t_x: no prolongation
+    # coordinate takes a chart name, so the name check lets it run
+    twin = tmp_path / "twin.prob"
+    twin.write_text(prolongation_clash_text("y"))
+    code, out, _ = run_cli(capsys, "analyze", str(twin))
+    assert code == 0 and "verdict: involutive" in out
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])

@@ -250,7 +250,19 @@ def scalar_absorption_equations(se):
     return eqs
 
 
-@pytest.mark.parametrize("name,params", sorted(GOLDEN), ids=lambda v: str(v))
+def maxwell_text(n):
+    """maxwell.prob in n dimensions: only its range and metric lines change."""
+    return fixture_text("maxwell").replace("i j k l : 1 4", f"i j k l : 1 {n}") \
+        .replace("diag(-1,1,1,1)", "diag(-1" + ",1" * (n - 1) + ")")
+
+
+# wider tableaux; their trails come from the engine, so only the verdict, the
+# agreement of both flags and s_n = 1 are checked, not the trail
+SCALED_MAXWELL = {f"maxwell-n{n}": maxwell_text(n) for n in (3, 5, 6)}
+
+
+@pytest.mark.parametrize("name,params", sorted(GOLDEN) + [(n, ()) for n in SCALED_MAXWELL],
+                         ids=lambda v: str(v))
 def test_absorption_rows_solve_as_scalar_equations(name, params, monkeypatch):
     built = []
 
@@ -258,9 +270,14 @@ def test_absorption_rows_solve_as_scalar_equations(name, params, monkeypatch):
         built.append(structure_equations(sys))
         return built[-1]
     monkeypatch.setattr(ladder, "structure_equations", build)
-    analyze(parse_problem(fixture_text(name),
-                          param_overrides={k: Fraction(v) for k, v in params}))
+    rep = analyze(parse_problem(SCALED_MAXWELL.get(name) or fixture_text(name),
+                                param_overrides={k: Fraction(v) for k, v in params}))
     assert built
+    if name in SCALED_MAXWELL:
+        last = rep.ladder.steps[-1]
+        assert rep.verdict == "involutive"
+        assert last.characters == last.characters_generic
+        assert last.characters.s[-1] == 1
     for se in built:
         unknowns = [se.slopes[k] for k in sorted(se.slopes, reverse=True)]
         want = solve_linear(scalar_absorption_equations(se), unknowns)
