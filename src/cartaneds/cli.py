@@ -9,10 +9,11 @@ Exit codes: 0 involutive, 1 empty locus, 2 needs-user-branch,
 3 budget exceeded, 64 usage (including a budget below 1),
 65 parse/validation error (including a problem file that cannot be read or
 is not UTF-8, and names that clash: two declared names, a declared name and
-a Grassmann coordinate, two Grassmann coordinates, or a prolongation
-coordinate and a chart coordinate), 70 internal error (degenerate rank
-sampling, generators out of reduced form, a nonlinear Pfaffian, a violated
-Cartan inequality, or any other unexpected exception),
+a Grassmann coordinate, two Grassmann coordinates, a prolongation
+coordinate and a chart coordinate, or two prolongation coordinates),
+70 internal error (degenerate rank sampling, generators out of reduced
+form, a nonlinear Pfaffian, a violated Cartan inequality, or any other
+unexpected exception),
 73 the --out file cannot be created (its directory is checked before the
 analysis runs).  Exits 65, 70 and 73 print one `error:` line.
 """

@@ -90,10 +90,10 @@ class Form:
         terms = dict(self.terms)
         for idx, c in other.terms.items():
             add_into(terms, idx, c)
-        return Form(self.chart, self.degree if self.terms else other.degree, terms)
+        return _form(self.chart, self.degree if self.terms else other.degree, terms)
 
     def __neg__(self) -> "Form":
-        return Form(self.chart, self.degree, {i: -c for i, c in self.terms.items()})
+        return _form(self.chart, self.degree, {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -116,7 +116,7 @@ class Form:
                     continue
                 idx, sign = sorted_idx
                 add_into(terms, idx, ca * cb if sign > 0 else -(ca * cb))
-        return Form(self.chart, deg, terms)
+        return _form(self.chart, deg, terms)
 
     def d(self) -> "Form":
         """Exterior derivative."""
@@ -133,7 +133,7 @@ class Form:
                     continue
                 full, sign = sorted_idx
                 add_into(terms, full, dc if sign > 0 else -dc)
-        return Form(self.chart, self.degree + 1, terms)
+        return _form(self.chart, self.degree + 1, terms)
 
     def contract(self, vector: Mapping[str, Scalar]) -> "Form":
         """Interior product with a vector field given by its components."""
@@ -147,7 +147,7 @@ class Form:
                     continue
                 c = coef * comp
                 add_into(terms, idx[:k] + idx[k + 1:], -c if k % 2 else c)
-        return Form(self.chart, self.degree - 1, terms)
+        return _form(self.chart, self.degree - 1, terms)
 
     def __str__(self):
         if not self.terms:
@@ -171,6 +171,13 @@ class Form:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _form(chart: Chart, degree: int, terms: dict) -> Form:
+    """A Form of zero-free terms, taken as they are (Form() filters them)."""
+    f = object.__new__(Form)
+    f.chart, f.degree, f.terms = chart, degree, terms
+    return f
 
 
 # ---------------------------------------------------------------------------

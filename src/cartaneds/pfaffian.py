@@ -36,8 +36,8 @@ class NotLinearPfaffian(ValueError):
 
 
 class NameClash(ValueError):
-    """A prolongation coordinate would take the name of a chart coordinate:
-    the names of the input collide, not the engine."""
+    """A prolongation coordinate would take the name of a chart coordinate,
+    or two of them one name: the names of the input collide, not the engine."""
 
 
 @dataclass
@@ -188,7 +188,7 @@ def structure_equations(sys: PfaffianSystem) -> StructureEquations:
     coordinate names the worked character ladders are calibrated against).
     """
     m, chart = sys.m, sys.chart
-    slopes = {}
+    slopes, named = {}, {}                    # named: slope name -> (en, xn)
     for e, en in enumerate(sys.complement):
         for i, xn in enumerate(chart.independent):
             slopes[(e, i)] = n = f"{en}_{xn}"
@@ -197,6 +197,11 @@ def structure_equations(sys: PfaffianSystem) -> StructureEquations:
                 was = f"the {d.parent[1]}-slope of {d.parent[0]}" if d and d.parent else "declared"
                 raise NameClash(f"prolongation coordinate {n!r} would be the {xn}-slope of "
                                 f"{en}, but is already a chart coordinate ({was})")
+            if n in named:
+                en0, xn0 = named[n]
+                raise NameClash(f"prolongation coordinate {n!r} would be both the {xn0}-slope "
+                                f"of {en0} and the {xn}-slope of {en}")
+            named[n] = (en, xn)
     exp = CoframeExpansion(chart, sys.generators, sys.pivots)
     tableau, torsion, coeffs = {}, {}, {}     # coeffs: (a, i, j) -> {slope: Scalar}
     for a, g in enumerate(sys.generators):

@@ -1,10 +1,15 @@
 """Multivariate polynomials with rational coefficients: the ring under the
 scalar field of scalars.py, and the one module that reads the format.
 
-A polynomial is a dict mapping monomials to nonzero ``Fraction`` coefficients;
-a monomial is a sorted tuple of ``(name, exponent)`` pairs.  The monomial
-order is graded lexicographic over name-sorted variables, which is chart
-independent and deterministic.  The zero polynomial is the empty dict.
+A polynomial is a dict mapping monomials to nonzero coefficients: an int
+when the value is an integer, else a Fraction, never a float (_coeff and
+_quo make every one).  A monomial is a sorted tuple of ``(name, exponent)``
+pairs.  The monomial order is graded lexicographic over name-sorted
+variables, which is chart independent and deterministic.  The zero
+polynomial is the empty dict.
+
+No polynomial is mutated once built (in-place updates only touch dicts the
+function made), so a result may be an argument: p_mul by 1 returns it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from math import gcd as _int_gcd
 from typing import Callable, Iterable, Mapping, Optional
 
 Monomial = tuple  # tuple[tuple[str, int], ...]
-Poly = dict  # dict[Monomial, Fraction]
+Poly = dict  # dict[Monomial, int | Fraction]
 
 _ONE_MONO: Monomial = ()
 
@@ -50,24 +55,37 @@ def _mono_key(m: Monomial) -> tuple:
     return (-_mono_degree(m), tuple((name, -e) for name, e in m))
 
 
+def _coeff(c):
+    """The int or Fraction c as a coefficient."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _quo(a, b):
+    """The exact quotient a/b of coefficients as a coefficient."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coeff(a / b)
+
+
 def p_const(c) -> Poly:
-    c = Fraction(c)
+    c = _coeff(c if type(c) is int else Fraction(c))
     return {_ONE_MONO: c} if c else {}
 
 
 def p_var(name: str, e: int = 1) -> Poly:
     """The monomial name^e, for e >= 1."""
-    return {((name, e),): Fraction(1)}
+    return {((name, e),): 1}
 
 
 def p_is_one(p: Poly) -> bool:
     return len(p) == 1 and p.get(_ONE_MONO) == 1
 
 
-def p_constant(p: Poly) -> Optional[Fraction]:
+def p_constant(p: Poly):
     """The value of a constant polynomial (0 for zero), or None if variables occur."""
     if not p:
-        return Fraction(0)
+        return 0
     return p.get(_ONE_MONO) if len(p) == 1 else None
 
 
@@ -75,7 +93,7 @@ def _add_term(p: Poly, m: Monomial, c) -> None:
     """p[m] += c, dropping m where the sum cancels, so p holds no zero."""
     s = p.get(m, 0) + c
     if s:
-        p[m] = s
+        p[m] = _coeff(s)
     else:
         p.pop(m, None)
 
@@ -85,7 +103,7 @@ def p_add(a: Poly, b: Poly) -> Poly:
     for m, c in b.items():  # _add_term inlined in this hot loop
         s = out.get(m, 0) + c
         if s:
-            out[m] = s
+            out[m] = _coeff(s)
         else:
             out.pop(m, None)
     return out
@@ -102,16 +120,27 @@ def p_sub(a: Poly, b: Poly) -> Poly:
 def p_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return {}
+    if len(a) == 1 and _ONE_MONO in a:
+        return _scale(b, a[_ONE_MONO])
+    if len(b) == 1 and _ONE_MONO in b:
+        return _scale(a, b[_ONE_MONO])
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():  # _add_term inlined in this hot loop
             m = _mono_mul(ma, mb)
             s = out.get(m, 0) + ca * cb
             if s:
-                out[m] = s
+                out[m] = _coeff(s)
             else:
                 out.pop(m, None)
     return out
+
+
+def _scale(a: Poly, c) -> Poly:
+    """c*a for a coefficient c != 0: no terms merge or vanish."""
+    if c == 1:
+        return a
+    return {m: _coeff(ca * c) for m, ca in a.items()}
 
 
 def p_pow(a: Poly, n: int) -> Poly:
@@ -155,11 +184,11 @@ def p_eval(a: Poly, const: Callable, power: Callable):
     return total
 
 
-def _residue(value: Fraction, p: int) -> Optional[int]:
+def _residue(value, p: int) -> Optional[int]:
     """A rational coefficient modulo p, or None when p divides its denominator."""
+    if type(value) is int:
+        return value % p
     d = value.denominator
-    if d == 1:
-        return value.numerator % p
     if d % p:
         return value.numerator * pow(d, -1, p) % p
     return None
@@ -199,24 +228,29 @@ def p_leading(a: Poly):
 def p_content_sign(a: Poly):
     """Rational content and leading sign: a == sign*content*primitive."""
     if not a:
-        return Fraction(1), {}
-    num_gcd = 0
-    den_lcm = 1
+        return 1, {}
+    g = 0
+    lcm = 1
     for c in a.values():
-        num_gcd = _int_gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    _, lead = p_leading(a)
-    if lead < 0:
-        content = -content
-    return content, {m: c / content for m, c in a.items()}
+        g = _int_gcd(g, c.numerator)
+        d = c.denominator
+        if d != 1:
+            lcm = lcm * d // _int_gcd(lcm, d)
+    if p_leading(a)[1] < 0:
+        g = -g
+    if g == 1 and lcm == 1:
+        return 1, a
+    prim = {m: (c.numerator // g) * (lcm // c.denominator) for m, c in a.items()}
+    return _quo(g, lcm), prim
 
 
 def p_clear_den_content(num: Poly, den: Poly):
     """num and den divided by the signed content of den, so that den is
     primitive with a positive leading coefficient and num/den is unchanged."""
     content, prim = p_content_sign(den)
-    return {m: c / content for m, c in num.items()}, prim
+    if content == 1:
+        return num, prim
+    return {m: _quo(c, content) for m, c in num.items()}, prim
 
 
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -247,7 +281,7 @@ def p_div_exact(a: Poly, b: Poly) -> Optional[Poly]:
         if not _mono_divides(mb, ma):
             return None
         mq = _mono_div(ma, mb)
-        cq = ca / cb
+        cq = _quo(ca, cb)
         quot[mq] = quot.get(mq, 0) + cq
         rem = p_sub(rem, p_mul({mq: cq}, b))
     return {m: c for m, c in quot.items() if c}
@@ -340,7 +374,7 @@ def p_gcd(a: Poly, b: Poly) -> Poly:
     if mono:
         a = {_mono_div(m, mono): c for m, c in a.items()}
         b = {_mono_div(m, mono): c for m, c in b.items()}
-        mono_g: Poly = {mono: Fraction(1)}
+        mono_g: Poly = {mono: 1}
     else:
         mono_g = p_const(1)
     if len(a) == 1 or len(b) == 1:

@@ -46,6 +46,9 @@ class AllSamplesDegenerate(ArithmeticError):
 # the field
 # ---------------------------------------------------------------------------
 
+_ONE = p_const(1)
+
+
 def _cancel(a: Poly, b: Poly):
     """a and b divided by their primitive positive-leading gcd."""
     g = p_gcd(a, b)
@@ -71,24 +74,24 @@ class Scalar:
     with a denominator 1 is already canonical; for other denominators
     (Henrici's rule) only g = gcd(b, d) can share a factor with
     a*(d/g) + c*(b/g), so the sum needs no gcd at all when g = 1.
+
+    Scalar(num, den) always canonicalises; results canonical by these rules
+    are built by _canonical, which takes its parts as they are.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _canonical=False):
+    def __init__(self, num, den=None):
         if not isinstance(num, dict):
             num = p_const(num)
         if den is None:
-            den = p_const(1)
+            den = _ONE
         elif not isinstance(den, dict):
             den = p_const(den)
-        if _canonical:
-            self.num, self.den = num, den
-            return
         if not den:
             raise DomainError("division by the zero polynomial")
         if not num:
-            self.num, self.den = {}, p_const(1)
+            self.num, self.den = {}, _ONE
             return
         if not p_is_one(den):
             num, den = p_clear_den_content(*_cancel(num, den))
@@ -98,18 +101,18 @@ class Scalar:
 
     @staticmethod
     def const(c) -> "Scalar":
-        return Scalar(p_const(c), None, _canonical=True)
+        return _canonical(p_const(c), _ONE)
 
     @staticmethod
     def var(name: str) -> "Scalar":
-        return Scalar(p_var(name), None, _canonical=True)
+        return _canonical(p_var(name), _ONE)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.num
 
-    def as_constant(self) -> Optional[Fraction]:
+    def as_constant(self):
         """The value as a rational constant, or None when variables occur."""
         return p_constant(self.num) if p_is_one(self.den) else None
 
@@ -148,23 +151,23 @@ class Scalar:
                 return Scalar.const(0)
             if not p_is_one(b):
                 num, b = _cancel(num, b)
-            return Scalar(num, b, _canonical=True)
+            return _canonical(num, b)
         if p_is_one(b):
-            return Scalar(p_add(p_mul(a, d), c), d, _canonical=True)
+            return _canonical(p_add(p_mul(a, d), c), d)
         if p_is_one(d):
-            return Scalar(p_add(a, p_mul(c, b)), b, _canonical=True)
+            return _canonical(p_add(a, p_mul(c, b)), b)
         g = p_gcd(b, d)
         if p_is_one(g):
-            return Scalar(p_add(p_mul(a, d), p_mul(c, b)), p_mul(b, d), _canonical=True)
+            return _canonical(p_add(p_mul(a, d), p_mul(c, b)), p_mul(b, d))
         b, d = p_div_exact(b, g), p_div_exact(d, g)
         num = p_add(p_mul(a, d), p_mul(c, b))
         num, g = _cancel(num, g)
-        return Scalar(num, p_mul(p_mul(b, d), g), _canonical=True)
+        return _canonical(num, p_mul(p_mul(b, d), g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(p_neg(self.num), self.den, _canonical=True)
+        return _canonical(p_neg(self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -182,12 +185,16 @@ class Scalar:
         if not self.num or not o.num:
             return Scalar.const(0)
         a, b, c, d = self.num, self.den, o.num, o.den
+        if p_is_one(d) and p_is_one(c):
+            return self
+        if p_is_one(b) and p_is_one(a):
+            return o
         if not (p_is_one(d) or p_constant(a) is not None):
             a, d = _cancel(a, d)
         if not (p_is_one(b) or p_constant(c) is not None):
             c, b = _cancel(c, b)
         den = d if p_is_one(b) else b if p_is_one(d) else p_mul(b, d)
-        return Scalar(p_mul(a, c), den, _canonical=True)
+        return _canonical(p_mul(a, c), den)
 
     __rmul__ = __mul__
 
@@ -207,7 +214,7 @@ class Scalar:
         num = p_mul(a, d)
         if not p_is_one(c):
             num, c = p_clear_den_content(num, c)
-        return Scalar(num, p_mul(b, c), _canonical=True)
+        return _canonical(num, p_mul(b, c))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -220,7 +227,7 @@ class Scalar:
             return Scalar.const(1)
         if n < 0:
             return Scalar.const(1) / self ** -n
-        return Scalar(p_pow(self.num, n), p_pow(self.den, n), _canonical=True)
+        return _canonical(p_pow(self.num, n), p_pow(self.den, n))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -252,13 +259,12 @@ class Scalar:
         num = p_sub(p_mul(dn, self.den), p_mul(self.num, dd))
         g1 = p_gcd(num, self.den)
         if p_is_one(g1):
-            return Scalar(num, p_mul(self.den, self.den), _canonical=True)
+            return _canonical(num, p_mul(self.den, self.den))
         num = p_div_exact(num, g1)
         g2 = p_gcd(num, g1)
         if not p_is_one(g2):
             num = p_div_exact(num, g2)
-        return Scalar(num, p_mul(p_div_exact(self.den, g1), p_div_exact(self.den, g2)),
-                      _canonical=True)
+        return _canonical(num, p_mul(p_div_exact(self.den, g1), p_div_exact(self.den, g2)))
 
     def substitute(self, bindings: Mapping[str, "Scalar"]) -> "Scalar":
         """Simultaneous substitution of names by scalars, then canonicalization."""
@@ -270,7 +276,7 @@ class Scalar:
 
         def power(name, e):
             b = bindings.get(name)
-            return b ** e if b is not None else Scalar(p_var(name, e), None, _canonical=True)
+            return b ** e if b is not None else _canonical(p_var(name, e), _ONE)
         num = p_eval(self.num, Scalar.const, power)
         den = p_eval(self.den, Scalar.const, power)
         if den.is_zero():
@@ -309,13 +315,13 @@ class Scalar:
         if not self.num:
             return Scalar.const(0)
         _, prim = p_content_sign(self.num)
-        return Scalar(prim, None, _canonical=True)
+        return _canonical(prim, _ONE)
 
     def strip_factors(self, factors: Iterable["Scalar"]) -> "Scalar":
         """The numerator with every factor it shares with a nonconstant one of
         factors divided out, as often as it divides (poly.p_strip_factors)."""
         nonconstant = (f.num for f in factors if f.as_constant() is None)
-        return Scalar(p_strip_factors(self.num, nonconstant), None, _canonical=True)
+        return _canonical(p_strip_factors(self.num, nonconstant), _ONE)
 
     def __str__(self):
         if p_is_one(self.den):
@@ -329,6 +335,13 @@ class Scalar:
         return f"{ns}/{ds}"
 
     __repr__ = __str__
+
+
+def _canonical(num: Poly, den: Poly) -> Scalar:
+    """The Scalar num/den of canonical parts."""
+    s = object.__new__(Scalar)
+    s.num, s.den = num, den
+    return s
 
 
 ZERO = Scalar.const(0)
@@ -462,7 +475,7 @@ def _linear_split(eq: Scalar, unknowns: Sequence[str]):
     if split is None:
         return None
     coeffs, const = split
-    den = Scalar(eq.den, None, _canonical=True)
+    den = _canonical(eq.den, _ONE)
     return {u: Scalar(p, None) / den for u, p in coeffs.items()}, Scalar(const, None) / den
 
 

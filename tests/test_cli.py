@@ -150,6 +150,17 @@ def prolongation_clash_text(third: str) -> str:
                         f"(1/2)*(ut^2 + {third}*ux^2) + vy*uy + v*w")
 
 
+def slope_clash_text(second: str) -> str:
+    """A griffiths problem whose prolongation names, with second = y_z, the
+    y_z-slope of Zp1_x and the z-slope of Zp1_x_y both Zp1_x_y_z, a name no
+    chart coordinate has.  That set one unknown of the absorption rows twice
+    and exited 70 once the prolonged chart repeated the name."""
+    return (f"name = slope-clash\n[chart]\nindependent = x {second} x_y z\nfield = u\n"
+            f"[forms]\nlagrangian = 0\ngenerator = th1 : d(u)/\\d(x_y)/\\d(z)\n"
+            f"generator = th2 : d(u)/\\d(x)/\\d({second})\n[lepage]\nmode = griffiths\n"
+            f"multiplier = th1 : p1*d(x)\nmultiplier = th2 : p2*d(z)\n[run]\nseed = 3\n")
+
+
 THW = "generator = thw : d(w) - w_x*d(x) - w_y*d(y)\n"
 GRIFFITHS_PROBLEM = """name = g
 [chart]
@@ -206,6 +217,8 @@ multiplier = th : p*d(x)
      "(line 4)"),
     (prolongation_clash_text("t_x"), "prolongation coordinate 'Zwt_t_x' would be the "
      "x-slope of Zwt_t, but is already a chart coordinate (the t_x-slope of wt)"),
+    (slope_clash_text("y_z"), "prolongation coordinate 'Zp1_x_y_z' would be both the "
+     "y_z-slope of Zp1_x and the z-slope of Zp1_x_y"),
 ], ids=["explicit-without-theta", "metric-index-out-of-range",
         "unclosed-multiplier-index", "multiplier-uses-builtin", "multiplier-differential",
         "generator-mixes-form-degrees", "zero-parameter-to-negative-power",
@@ -214,7 +227,8 @@ multiplier = th : p*d(x)
         "jet-named-like-a-jet", "field-named-like-an-independent",
         "parameter-named-like-a-jet", "field-named-like-a-grassmann-coordinate",
         "multiplier-named-like-a-grassmann-coordinate", "two-grassmann-names-coincide",
-        "prolongation-coordinate-named-like-a-grassmann-coordinate"])
+        "prolongation-coordinate-named-like-a-grassmann-coordinate",
+        "two-slopes-named-alike"])
 def test_malformed_input_exit_65(tmp_path, capsys, text, message):
     # the first three, "generator-mixes-form-degrees" to "generator-name-twice"
     # and the three Grassmann-coordinate names used to escape as
@@ -238,6 +252,15 @@ def test_prolongation_names_without_a_clash_run(tmp_path, capsys):
     twin.write_text(prolongation_clash_text("y"))
     code, out, _ = run_cli(capsys, "analyze", str(twin))
     assert code == 0 and "verdict: involutive" in out
+
+
+def test_slope_names_without_a_clash_run(tmp_path, capsys):
+    # the twin of "two-slopes-named-alike" with w for y_z
+    twin = tmp_path / "twin.prob"
+    twin.write_text(slope_clash_text("w"))
+    code, out, _ = run_cli(capsys, "analyze", str(twin))
+    assert code == 0 and "verdict: involutive" in out
+    assert "characters: [3, 2, 1, 3]" in out
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])

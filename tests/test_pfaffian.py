@@ -359,6 +359,18 @@ def test_nonlinear_pfaffian_rejected():
         structure_equations(sys)
 
 
+def test_two_slopes_with_one_name_clash():
+    # the x_y-slope of Zu and the y-slope of Zu_x are both named Zu_x_y, a
+    # name no chart coordinate has
+    from cartaneds.pfaffian import NameClash
+    ch = Chart(["y", "x_y"], [Dependent("w"), Dependent("Zu"), Dependent("Zu_x")])
+    sys = make_system(ch, [Form.differential(ch, "w")])
+    assert sys.complement == ["Zu", "Zu_x"]
+    with pytest.raises(NameClash, match="'Zu_x_y' would be both the x_y-slope of Zu "
+                                        "and the y-slope of Zu_x"):
+        structure_equations(sys)
+
+
 def test_reduction_divides_each_entry_once(monkeypatch):
     # 2du + 4dv + 6dx is normalized at the pivot u by one division per entry
     ch = Chart(["x"], [Dependent("u"), Dependent("v")])

@@ -307,6 +307,59 @@ def assert_canonical(s):
     assert p_leading(s.den)[1] > 0
 
 
+def assert_coefficients_normal(s):
+    """Numerator coefficients are ints, or Fractions that are no integer;
+    denominator coefficients are ints."""
+    for c in s.num.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+    assert all(type(c) is int for c in s.den.values()), s.den
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_scalar(("x", "y")), small_scalar(("x", "y")), small_scalar(("x", "y")),
+       st.sampled_from("xy"))
+def test_coefficients_are_ints_where_integral(a, b, c, name):
+    # two variables: a quotient of two trivariate quotients can reach the
+    # pseudo-remainder gcd, which takes seconds (ROADMAP item 3)
+    results = [a + b, a - b, a * b, a.partial(name), (a * b + c).partial(name)]
+    if not b.is_zero():
+        q = a / b
+        results += [q, q + c, q - c, q * c, q.partial(name)]
+        if not c.is_zero():
+            results += [q / c, (q / c).partial(name)]
+        try:
+            results.append(q.substitute({name: c}))
+        except DomainError:
+            pass
+    for s in results:
+        assert_coefficients_normal(s)
+
+
+def test_exact_quotient_by_an_integer_is_rational():
+    q = poly.p_div_exact(p_add(poly.p_var("x"), poly.p_const(1)), poly.p_const(2))
+    assert q == {(("x", 1),): Fraction(1, 2), (): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in q.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_scalar(), small_scalar())
+def test_kernels_leave_their_arguments_unchanged(a, b):
+    # a product by 1 may return the other factor itself, which is safe only
+    # while no kernel updates a polynomial it was given
+    polys = [a.num, b.num, a.den, (a / b).den if not b.is_zero() else b.den,
+             poly.p_const(1), poly.p_const(Fraction(-2, 3))]
+    for p in polys:
+        for q in polys:
+            before = dict(p), dict(q)
+            p_add(p, q)
+            pq = p_mul(p, q)
+            p_gcd(p, q)
+            if q:
+                poly.p_div_exact(p, q)
+                poly.p_div_exact(pq, q)
+            assert (p, q) == before
+
+
 @st.composite
 def rational_pair(draw):
     """Two rational functions over Q[x, y] with nonconstant denominators,
