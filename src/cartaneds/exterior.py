@@ -189,7 +189,8 @@ class Substitution:
 
     Right-hand sides must only reference retained names (triangular-resolved);
     pullback of a differential uses d of the binding, so pullback commutes
-    with the exterior derivative.
+    with the exterior derivative.  It is never mutated, so pulled
+    differentials are kept.
     """
 
     def __init__(self, chart: Chart, bindings: Mapping[str, Scalar]):
@@ -199,23 +200,36 @@ class Substitution:
             bad = value.variables() & set(self.bindings)
             if bad:
                 raise ValueError(f"substitution not resolved: {name} -> {value} references {sorted(bad)}")
+        self._pulled: dict = {}
 
     def scalar(self, s: Scalar) -> Scalar:
         return s.substitute(self.bindings)
 
+    def _pulled_d(self, name: str) -> Form:
+        """The pullback of d(name): d of its binding, or d(name) when unbound."""
+        dn = self._pulled.get(name)
+        if dn is None:
+            b = self.bindings.get(name)
+            dn = Form.differential(self.chart, name) if b is None else Form.scalar(self.chart, b).d()
+            self._pulled[name] = dn
+        return dn
+
     def form(self, a: Form) -> Form:
-        out = Form(self.chart, a.degree, {})
+        terms: dict = {}
         for idx, coef in a.terms.items():
-            term = Form.scalar(self.chart, self.scalar(coef))
-            for name in idx:
-                b = self.bindings.get(name)
-                if b is None:
-                    dn = Form.differential(self.chart, name)
-                else:
-                    dn = Form.scalar(self.chart, b).d()
-                term = term.wedge(dn)
-            out = out + term
-        return out
+            c = self.scalar(coef)
+            if c.is_zero():
+                continue
+            if len(idx) == 1:
+                term = {i: c * v for i, v in self._pulled_d(idx[0]).terms.items()}
+            else:
+                f = Form.scalar(self.chart, c)
+                for name in idx:
+                    f = f.wedge(self._pulled_d(name))
+                term = f.terms
+            for i, v in term.items():
+                add_into(terms, i, v)
+        return _form(self.chart, a.degree, terms)
 
     def compose(self, later: "Substitution") -> "Substitution":
         """The substitution 'first self, then later' as a single resolved map."""

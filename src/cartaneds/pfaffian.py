@@ -17,7 +17,7 @@ flag does not already meet the integral-element dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .scalars import (Chart, Dependent, LinearSolveResult, NonLinearInUnknowns,
@@ -47,6 +47,8 @@ class PfaffianSystem:
     pivots: list              # fiber pivot coordinate per generator
     zero_forms: list          # normalized Scalars carried by the ideal
     assumptions: list         # nonvanishing pivots accumulated so far
+    # frozenset(theta.terms.items()) -> d(theta), from the last build
+    derivatives: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -186,6 +188,10 @@ def structure_equations(sys: PfaffianSystem) -> StructureEquations:
     The elimination order is reversed declaration order, which keeps the
     slopes of earlier complement directions free (the parametrization whose
     coordinate names the worked character ladders are calibrated against).
+
+    dtheta is reused from sys.derivatives, which this build then replaces
+    and restrict and prolong hand on: they only drop bound coordinates or
+    append new ones, so the chart order that d reads never changes.
     """
     m, chart = sys.m, sys.chart
     slopes, named = {}, {}                    # named: slope name -> (en, xn)
@@ -204,10 +210,14 @@ def structure_equations(sys: PfaffianSystem) -> StructureEquations:
             named[n] = (en, xn)
     exp = CoframeExpansion(chart, sys.generators, sys.pivots)
     tableau, torsion, coeffs = {}, {}, {}     # coeffs: (a, i, j) -> {slope: Scalar}
+    known, derivatives = sys.derivatives, {}
     for a, g in enumerate(sys.generators):
+        key = frozenset(g.terms.items())
+        dg = known.get(key) or g.d()
+        derivatives[key] = dg
         # labels run omega (below m), then pi, and keys satisfy k < j, so a
         # pair is (om, om), (om, pi) or (pi, pi)
-        for (k, j), c in exp.expand_two_form(g.d()).items():
+        for (k, j), c in exp.expand_two_form(dg).items():
             if j < m:
                 torsion[(a, k, j)] = c
             elif k < m:
@@ -219,6 +229,7 @@ def structure_equations(sys: PfaffianSystem) -> StructureEquations:
                     coeffs.setdefault((a, k, i), {})[slopes[(e, i)]] = c
             else:
                 raise NotLinearPfaffian(f"pi/\\pi term with coefficient {c} in d(theta_{a})")
+    sys.derivatives = derivatives
     rows = [(coeffs.get(key, {}), torsion.get(key, ZERO))
             for key in sorted(coeffs.keys() | torsion.keys())]
     return StructureEquations(system=sys, tableau=tableau, torsion_raw=torsion, slopes=slopes,
@@ -411,7 +422,8 @@ def prolong(se: StructureEquations):
         gens.append(g)
     out = PfaffianSystem(chart=new_chart, generators=gens + contact,
                          pivots=sys.pivots + complement,
-                         zero_forms=[], assumptions=_dedupe(sys.assumptions + res.assumptions))
+                         zero_forms=[], assumptions=_dedupe(sys.assumptions + res.assumptions),
+                         derivatives=sys.derivatives)
     return out, [d.name for d in new_deps]
 
 
@@ -441,5 +453,6 @@ def restrict(sys: PfaffianSystem, constraints: Sequence[Scalar]):
     zero = [subst.scalar(z) for z in sys.zero_forms]
     if any(z.as_constant() not in (None, 0) for z in zero):
         raise EmptyLocus("restriction contradicts a carried zero-form")
-    return make_system(new_chart, pulled, zero,
-                       sys.assumptions + res.assumptions), subst
+    out = make_system(new_chart, pulled, zero, sys.assumptions + res.assumptions)
+    out.derivatives = sys.derivatives
+    return out, subst

@@ -60,6 +60,14 @@ def _coeff(c):
     return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
+def p_normal(a: Poly) -> Poly:
+    """a with integral Fraction coefficients made ints; a itself if none is."""
+    for c in a.values():
+        if type(c) is not int and c.denominator == 1:
+            return {m: _coeff(c) for m, c in a.items()}
+    return a
+
+
 def _quo(a, b):
     """The exact quotient a/b of coefficients as a coefficient."""
     if type(a) is int and type(b) is int:

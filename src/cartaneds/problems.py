@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import Chart, Dependent, Scalar, ROLE_FIELD, ROLE_JET
+from .scalars import Chart, Dependent, Scalar, ROLE_FIELD, ROLE_JET, add_into
 from .exterior import Form, volume_contraction, volume_form
 from .hamilton import grassmann_name
 from .ladder import MAX_PROLONGATIONS, MAX_STEPS, SEED
@@ -79,7 +79,8 @@ class ExprContext:
 
     With fresh set to a list, an undeclared name that is not a built-in
     resolves to a variable outside the chart and is appended to fresh on
-    first occurrence; the parser rejects d() of such a name.
+    first occurrence; the parser rejects d() of such a name.  Without
+    fresh, each name is resolved once, into a Form that none mutates.
     """
     chart: Chart
     params: dict                     # name -> Fraction
@@ -87,8 +88,26 @@ class ExprContext:
     antisym: dict                    # family base -> True
     metric: Optional[dict] = None    # (i, j) -> Fraction
     fresh: Optional[list] = None
+    resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def lookup(self, name: str, line: int):
+        got = self.resolved.get(name)
+        if got is None:
+            got = self._lookup(name, line)
+            if self.fresh is None:
+                self.resolved[name] = got
+        return got
+
+    def lookup_indexed(self, base: str, indices, line: int):
+        key = (base, tuple(indices))
+        got = self.resolved.get(key)
+        if got is None:
+            got = self._lookup_indexed(base, indices, line)
+            if self.fresh is None:
+                self.resolved[key] = got
+        return got
+
+    def _lookup(self, name: str, line: int):
         if name in self.chart:
             return Form.scalar(self.chart, Scalar.var(name))
         if name in self.params:
@@ -99,7 +118,7 @@ class ExprContext:
             self.fresh.append(name)
         return Form.scalar(self.chart, Scalar.var(name))
 
-    def lookup_indexed(self, base: str, indices, line: int):
+    def _lookup_indexed(self, base: str, indices, line: int):
         if base == "g":
             if self.metric is None:
                 raise ParseError("metric entries g[i,j] need a metric declaration", line)
@@ -319,14 +338,20 @@ class ExprParser:
                 raise ParseError(f"index {n!r} has no declared range", self.line)
         # ranges are non-empty, so the body is parsed at least once
         start, outer = self.i, self.bindings
-        total = Form.scalar(self.ctx.chart, Scalar.const(0))
+        degree, terms = 0, {}
         for values in itertools.product(*(self.ctx.ranges[n] for n in names)):
             self.i = start
             self.bindings = {**outer, **dict(zip(names, values))}
-            total = total + self.expr()
+            body = self.expr()
+            if terms and body.terms and body.degree != degree:
+                raise ValueError("cannot add forms of different degree")
+            if not terms:
+                degree = body.degree
+            for idx, c in body.terms.items():
+                add_into(terms, idx, c)
         self.bindings = outer
         self.expect(")")
-        return total
+        return Form(self.ctx.chart, degree, terms)
 
 
 def parse_expression(text: str, ctx: ExprContext, line: int = 0) -> Form:

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .poly import (DomainError, Poly, p_add, p_clear_den_content, p_const, p_constant,
                    p_content_sign, p_diff, p_div_exact, p_eval, p_gcd, p_is_one,
-                   p_linear_split, p_mul, p_neg, p_pow, p_residue, p_str,
+                   p_linear_split, p_mul, p_neg, p_normal, p_pow, p_residue, p_str,
                    p_strip_factors, p_sub, p_var, p_variables)
 
 
@@ -75,19 +75,19 @@ class Scalar:
     (Henrici's rule) only g = gcd(b, d) can share a factor with
     a*(d/g) + c*(b/g), so the sum needs no gcd at all when g = 1.
 
-    Scalar(num, den) always canonicalises; results canonical by these rules
-    are built by _canonical, which takes its parts as they are.
+    Scalar(num, den) always canonicalises (p_normal makes integral Fraction
+    coefficients ints); results canonical by these rules are built by
+    _canonical, which takes its parts as they are.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if not isinstance(num, dict):
-            num = p_const(num)
+        num = p_normal(num) if isinstance(num, dict) else p_const(num)
         if den is None:
             den = _ONE
-        elif not isinstance(den, dict):
-            den = p_const(den)
+        else:
+            den = p_normal(den) if isinstance(den, dict) else p_const(den)
         if not den:
             raise DomainError("division by the zero polynomial")
         if not num:
@@ -506,40 +506,48 @@ def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveRes
     unknowns to nonzero scalars free of the unknowns; the coefficient dicts
     are consumed, updated in place through add_into, and so stay zero-free.
     Pivots follow the given unknown order (earlier unknowns are eliminated
-    first); among candidate rows for an unknown, constant pivot coefficients
-    are preferred, then sparser ones.  A nonconstant pivot is recorded as a
-    genericity assumption.
+    first); the pivot row has the least (pivot_key, row index).  A
+    nonconstant pivot is recorded as a genericity assumption.  holders
+    maps each unknown to the live rows holding it, so a pivot search and an
+    elimination touch those rows only (Duff, Erisman and Reid, 1986).
     """
-    rows = list(rows)
+    coeffs = [c for c, _ in rows]
+    consts = [k for _, k in rows]
+    holders: dict = {}
+    for r, row in enumerate(coeffs):
+        for u in row:
+            holders.setdefault(u, set()).add(r)
+    pivot_rows: set = set()
     solved: dict = {}
     order: list = []
     assumptions: list = []
     for u in unknowns:
-        best = None
-        for idx, (coeffs, _) in enumerate(rows):
-            c = coeffs.get(u)
-            if c is None:
-                continue
-            rank = (pivot_key(c), idx)
-            if best is None or rank < best[0]:
-                best = (rank, idx)
-        if best is None:
+        hold = holders.pop(u, None)
+        if not hold:
             continue
-        _, idx = best
-        coeffs, const = rows.pop(idx)
-        pivot = coeffs.pop(u)
+        r = min(hold, key=lambda r: (pivot_key(coeffs[r][u]), r))
+        hold.discard(r)
+        pivot_rows.add(r)
+        row = coeffs[r]
+        pivot = row.pop(u)
+        for v in row:
+            holders[v].discard(r)
         if pivot.as_constant() is None:
             assumptions.append(pivot.constraint_normal())
-        rhs = {v: -(c / pivot) for v, c in coeffs.items()}
-        rhs_const = -(const / pivot)
+        rhs = {v: -(c / pivot) for v, c in row.items()}
+        rhs_const = -(consts[r] / pivot)
         solved[u] = (rhs, rhs_const)
         order.append(u)
-        for k, (oc, ocst) in enumerate(rows):
-            fac = oc.pop(u, None)
-            if fac is not None:
-                for v, c in rhs.items():
-                    add_into(oc, v, fac * c)
-                rows[k] = (oc, ocst + fac * rhs_const)
+        for k in sorted(hold):
+            oc = coeffs[k]
+            fac = oc.pop(u)
+            for v, c in rhs.items():
+                add_into(oc, v, fac * c)
+                if v in oc:
+                    holders[v].add(k)
+                else:
+                    holders[v].discard(k)
+            consts[k] = consts[k] + fac * rhs_const
     # back-substitute so right-hand sides are free of every solved unknown
     resolved: dict = {}
     for u in reversed(order):
@@ -553,7 +561,7 @@ def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveRes
         resolved[u] = expr
     # every key of a row is an unknown, eliminated from every row left at its
     # turn; rows gain keys only from pivot rows, so the rows left are empty
-    residual = [const for _, const in rows if not const.is_zero()]
+    residual = [c for r, c in enumerate(consts) if r not in pivot_rows and not c.is_zero()]
     free = [u for u in unknowns if u not in resolved]
     return LinearSolveResult(solved={u: resolved[u] for u in order},
                              residual=residual, free=free, assumptions=assumptions)
@@ -599,12 +607,15 @@ def rank_fractions(rows: Sequence[Mapping[int, int]], cuts: Sequence[int], p: in
 
     A row maps a column to its residue; only the entries present are read,
     so callers pass the nonzero ones.  cuts must be nondecreasing.
+
+    Each block's rows go sparsest first: ranks stay, fill-in falls, and
+    on [G; I] the unit rows clear the labels before any row of G.
     """
     echelon: dict = {}  # least column of a reduced row -> the row, scaled to 1 there
     ranks = []
     done = 0
     for k in cuts:
-        for row in rows[done:k]:
+        for row in sorted(rows[done:k], key=len):
             red = {c: x for c, x in row.items() if x}
             while red:
                 c = min(red)

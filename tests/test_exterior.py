@@ -182,6 +182,46 @@ def test_pullback_commutes_with_d(a):
     assert (sub.form(a.d()) - sub.form(a).d()).is_zero()
 
 
+def pullback_by_definition(sub, a):
+    """The pullback of a by sub as a sum, by Form.__add__, of each pulled
+    coefficient wedged with d of the bindings of its differentials."""
+    out = Form(sub.chart, a.degree, {})
+    for idx, coef in a.terms.items():
+        term = Form.scalar(sub.chart, sub.scalar(coef))
+        for name in idx:
+            b = sub.bindings.get(name)
+            term = term.wedge(Form.differential(sub.chart, name) if b is None
+                              else Form.scalar(sub.chart, b).d())
+        out = out + term
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_form(max_degree=3))
+def test_pullback_is_the_sum_of_wedged_pulled_differentials(a):
+    sub = Substitution(CH.drop(["p", "q"]),
+                       {"p": V("u") * V("y") + 1, "q": V("r") / (V("x") + 1) - V("u")})
+    got, want = sub.form(a), pullback_by_definition(sub, a)
+    assert got == want and got.degree == want.degree == a.degree
+    assert all(not c.is_zero() for c in got.terms.values())
+
+
+def test_pullback_differentiates_each_binding_once(monkeypatch):
+    sub = Substitution(CH.drop(["p", "q"]), {"p": V("u") * V("y") + V("x"),
+                                             "q": V("r") ** 2 - V("z")})
+    forms = [D("p").scale(V("u")) + D("q"),
+             D("p").wedge(D("q")) + D("x").wedge(D("p")).scale(V("r")),
+             D("q").wedge(D("y")).wedge(D("p"))]
+    calls = []
+    partial = Scalar.partial
+    monkeypatch.setattr(Scalar, "partial",
+                        lambda self, name: calls.append(name) or partial(self, name))
+    for f in forms + forms:
+        sub.form(f)
+    # d(p) takes the partials at u, x and y, d(q) at r and z, once each
+    assert sorted(calls) == ["r", "u", "x", "y", "z"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_form(max_degree=2), small_form(max_degree=2))
 def test_form_terms_hold_no_zero_coefficient(a, b):

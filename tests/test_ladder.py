@@ -273,3 +273,54 @@ def test_structure_equations_built_once_per_system(monkeypatch, name):
     built = sum(s["kind"] != "zero_forms" for s in rep.steps)
     assert built == 7
     assert calls == dict.fromkeys(calls, built)
+
+
+@pytest.mark.parametrize("name", ["strong-integrability", "field-prolongation"])
+def test_structure_equations_reusing_the_last_build_equal_a_fresh_build(monkeypatch, name):
+    # each build reuses the dtheta the build before it took, keeps the map of
+    # one build only, and equals a build from scratch on the same system
+    from dataclasses import replace
+    from cartaneds import ladder, pfaffian
+    from cartaneds.cli import fixture_text
+    from cartaneds.problems import parse_problem
+    from cartaneds.report import analyze
+    build = pfaffian.structure_equations
+    builds, reused = [], []
+
+    def both(sys):
+        reused.append(sum(frozenset(g.terms.items()) in sys.derivatives
+                          for g in sys.generators))
+        fresh = build(replace(sys, derivatives={}))
+        builds.append((build(sys), fresh))
+        assert len(sys.derivatives) <= len(sys.generators)
+        return builds[-1][0]
+    monkeypatch.setattr(ladder, "structure_equations", both)
+    assert analyze(parse_problem(fixture_text(name))).verdict == "involutive"
+    assert len(builds) == 7 and sum(reused) > 0
+    for se, fresh in builds:
+        assert (se.tableau, se.torsion_raw) == (fresh.tableau, fresh.torsion_raw)
+        got, want = se.absorption, fresh.absorption
+        assert list(got.solved.items()) == list(want.solved.items())
+        assert (got.residual, got.free, got.assumptions) == \
+            (want.residual, want.free, want.assumptions)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_maxwell_in_n_dimensions_ends_involutive_with_one_gauge_function(n):
+    # fixtures/maxwell.prob with its range and metric lines edited; the
+    # trail comes from the engine, so only the verdict, the Cartan equality
+    # and s_n = 1 are checked
+    from cartaneds.cli import fixture_text
+    from cartaneds.pfaffian import cartan_test, structure_equations
+    from cartaneds.problems import parse_problem
+    from cartaneds.report import analyze
+    text = fixture_text("maxwell")
+    scaled = text.replace("i j k l : 1 4", f"i j k l : 1 {n}") \
+        .replace("diag(-1,1,1,1)", "diag(-1" + ",1" * (n - 1) + ")")
+    assert scaled.count(f": 1 {n}") == 1 and scaled != text
+    rep = analyze(parse_problem(scaled))
+    assert rep.verdict == "involutive"
+    report = cartan_test(structure_equations(rep.ladder.final_system), seed=rep.seed)
+    assert report.involutive
+    assert report.prolongation_dim == report.cartan_sum == report.characters.cartan_sum()
+    assert len(report.characters.s) == n and report.characters.s[-1] == 1

@@ -15,7 +15,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from cartaneds.poly import p_gcd  # noqa: E402
-from cartaneds.scalars import Scalar, random_rank, solve_linear  # noqa: E402
+from cartaneds.scalars import Scalar, random_rank, solve_linear, solve_rows  # noqa: E402
 
 X, Y = sympy.symbols("x y")
 
@@ -164,3 +164,48 @@ def test_scalar_sum_and_product_are_sympy_cancel(f, g, h, k, common):
     assert_is_cancel(a - b, fa - fb)
     assert_is_cancel(a * b, fa * fb)
     assert_is_cancel(a * c, fa * fc)
+
+
+def rational(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@st.composite
+def sparse_rational_system(draw):
+    """Rows of rational coefficients, about two thirds of them zero, and
+    their constants."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    value = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+    def entry():
+        return draw(value) if draw(st.integers(0, 2)) == 0 else Fraction(0)
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)], \
+        [entry() for _ in range(nrows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rational_system())
+def test_solve_rows_matches_sympy_rref(system):
+    # rows sum_j A[r][j] u_j + b[r] = 0; the pivots of the augmented rref
+    # outside its last column are those of A, in column order
+    A, b = system
+    names = [f"u{j}" for j in range(len(A[0]))]
+    rows = [({n: Scalar.const(a) for n, a in zip(names, row) if a}, Scalar.const(c))
+            for row, c in zip(A, b)]
+    res = solve_rows(rows, names)
+    M = sympy.Matrix([[rational(a) for a in row] + [-rational(c)] for row, c in zip(A, b)])
+    R, pivots = M.rref()
+    rank = M[:, :-1].rank()
+    pivot_cols = [j for j in pivots if j < len(names)]
+    assert res.free == [n for j, n in enumerate(names) if j not in pivot_cols]
+    assert list(res.solved) == [names[j] for j in pivot_cols]
+    assert bool(res.residual) == (M.rank() > rank)
+    assert len(res.residual) <= len(A) - rank
+    if res.residual:
+        return
+    for r, j in enumerate(pivot_cols):
+        want = Scalar.const(Fraction(int(R[r, -1].p), int(R[r, -1].q)))
+        for f, n in enumerate(names):
+            if f not in pivot_cols and R[r, f] != 0:
+                want = want - Scalar.const(Fraction(int(R[r, f].p), int(R[r, f].q))) * Scalar.var(n)
+        assert res.solved[names[j]] == want

@@ -261,3 +261,34 @@ def test_documented_example_parses():
     assert doc.name == "saunders"
     assert doc.mode == "griffiths"
     assert doc.seed == 7
+
+
+def test_names_resolve_once_per_context_and_fresh_names_keep_parse_order():
+    from dataclasses import replace
+    ch = Chart(["x", "y"], [Dependent("u"), Dependent("F_12")])
+    c = ctx_for(ch, params={"alpha": Fraction(2)}, ranges={"i": [1, 2]},
+                antisym={"F": True})
+    assert c.lookup("u", 1) is c.lookup("u", 2)
+    assert c.lookup("alpha", 1) is c.lookup("alpha", 3)
+    assert c.lookup_indexed("F", [2, 1], 1) is c.lookup_indexed("F", [2, 1], 4)
+    assert c.lookup_indexed("F", [2, 1], 1).as_scalar() == -Scalar.var("F_12")
+    finder = replace(c, fresh=[])
+    parse_expression("sum(i : P[i]*d(x)) + Q*d(y) + P[1]*d(y) + R*d(x)", finder)
+    assert finder.fresh == ["P_1", "P_2", "Q", "R"]
+    # a context that collects fresh names keeps none of its lookups
+    assert finder.resolved == {}
+
+
+def test_sum_adds_its_bodies_by_the_rule_of_form_addition():
+    ch = Chart(["x", "y"], [Dependent("u"), Dependent("F_12")])
+    c = ctx_for(ch, ranges={"i": [1, 2]}, antisym={"F": True})
+    got = parse_expression("sum(i : F[1,i]*d(x) + u*d(y))", c)
+    assert got.degree == 1
+    assert got.terms == {("x",): Scalar.var("F_12"), ("y",): 2 * Scalar.var("u")}
+    # zero bodies of any degree: the sum is zero and takes the last one's degree
+    assert parse_expression("sum(i : F[i,i]*d(x))", c).is_zero()
+    assert parse_expression("sum(i : F[i,i]*d(x))", c).degree == 1
+    # F[1,1] + F[1,2] d(x) is a nonzero 1-form, F[2,1] + F[2,2] d(x) a nonzero
+    # 0-form: the bodies cannot be added
+    with pytest.raises(ValueError, match="cannot add forms of different degree"):
+        parse_expression("sum(i : F[i,1] + F[i,2]*d(x))", c)

@@ -779,3 +779,79 @@ def test_chart_drop_protects_independents():
     with pytest.raises(ValueError):
         ch.drop(["x"])
     assert [d.name for d in ch.drop(["u"]).dependent] == []
+
+
+# ---------------------------------------------------------------------------
+# coefficients given from outside; the work of the sparse kernels
+# ---------------------------------------------------------------------------
+
+def test_integral_fraction_coefficients_given_from_outside_become_ints():
+    assert Scalar({(("x", 1),): Fraction(2)}).num == {(("x", 1),): 2}
+    assert type(Scalar({(("x", 1),): Fraction(2)}).num[(("x", 1),)]) is int
+    assert type(Scalar({(): Fraction(3)}).num[()]) is int
+    for s in (Scalar({(("x", 1),): Fraction(2)}), Scalar({(): Fraction(3)}),
+              Scalar({(("x", 1),): Fraction(2)}, {(("y", 1),): Fraction(1)}),
+              Scalar({(("x", 1),): Fraction(1, 2)}, {(("y", 1),): Fraction(4)})):
+        assert_coefficients_normal(s)
+    # nothing to mend: the polynomial itself is kept
+    half = {(("x", 1),): Fraction(1, 2), (): 3}
+    assert poly.p_normal(half) is half
+    assert Scalar(half).num is half
+
+
+class _LoggedRow(dict):
+    """A coefficient row that logs every unknown it is read or popped at."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def get(self, key, default=None):
+        self.log.append(key)
+        return super().get(key, default)
+
+    def pop(self, key, *default):
+        self.log.append(key)
+        return super().pop(key, *default)
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return super().__getitem__(key)
+
+
+def test_solve_rows_touches_only_the_rows_holding_each_pivot_unknown(monkeypatch):
+    # k independent blocks x_b + y_b + b = 0, x_b + 2 y_b = 0: choosing each
+    # pivot and eliminating its unknown reads the two rows of its block only,
+    # and each block takes one update, of y_b in its second row
+    k = 12
+    logs = [[] for _ in range(2 * k)]
+    rows = []
+    for b in range(k):
+        x, y = f"x{b}", f"y{b}"
+        rows.append((_LoggedRow({x: ONE, y: ONE}, logs[2 * b]), C(b)))
+        rows.append((_LoggedRow({x: ONE, y: C(2)}, logs[2 * b + 1]), ZERO))
+    unknowns = [n for b in range(k) for n in (f"x{b}", f"y{b}")]
+    updates = []
+    add = scalars.add_into
+    monkeypatch.setattr(scalars, "add_into",
+                        lambda row, key, value: updates.append(key) or add(row, key, value))
+    res = solve_rows(rows, unknowns)
+    assert updates == [f"y{b}" for b in range(k)]
+    for b in range(k):
+        assert set(logs[2 * b]) | set(logs[2 * b + 1]) <= {f"x{b}", f"y{b}"}
+    assert res.solved == {n: C(v) for b in range(k) for n, v in ((f"x{b}", -2 * b), (f"y{b}", b))}
+    assert (res.residual, res.free, res.assumptions) == ([], [], [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_blocks(), st.sampled_from(_PRIMES), st.randoms(use_true_random=False))
+def test_prefix_ranks_do_not_depend_on_the_row_order_within_blocks(case, p, rnd):
+    rows, cuts = case
+    rows = mod_rows(rows, p)
+    shuffled, done = [], 0
+    for k in list(cuts) + [len(rows)]:
+        block = rows[done:k]
+        rnd.shuffle(block)
+        shuffled += block
+        done = k
+    assert rank_fractions(shuffled, cuts, p) == rank_fractions(rows, cuts, p)
