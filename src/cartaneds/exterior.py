@@ -270,7 +270,7 @@ class CoframeExpansion:
         if len(taken) != len(pivots):
             raise CoframeDegenerate("each generator needs a pivot of its own")
         self.labels = [n for n in chart.names if n not in taken]
-        label = {n: k for k, n in enumerate(self.labels)}
+        self.label = label = {n: k for k, n in enumerate(self.labels)}
         # coords[name] = list of (label index, Scalar): d(name) = sum c * d(label)
         self.coords = {n: [(k, ONE)] for n, k in label.items()}
         for g, p in zip(generators, pivots):
@@ -286,11 +286,12 @@ class CoframeExpansion:
         # implied by the reduced form, whose matrix is unit triangular up to
         # a permutation of columns; one sample, as the matrix has full rank,
         # and kept while perfbench/layers.py requires random_rank to be
-        # reached (ROADMAP item 1)
-        names = chart.names
-        matrix = [[g.terms.get((n,), ZERO) for n in names] for g in generators]
-        matrix += [[ONE if n == c else ZERO for n in names] for c in self.labels]
-        if random_rank(matrix, seed=0) != len(names):
+        # reached (ROADMAP item 1).  [G; I] goes as sparse rows by chart
+        # position: the generators, then a unit row per label
+        pos = chart.position
+        rows = [{pos(n): c for (n,), c in g.terms.items()} for g in generators]
+        rows += [{pos(n): ONE} for n in self.labels]
+        if random_rank(rows, seed=0) != chart.dim:
             raise CoframeDegenerate("coframe coefficient matrix is not of full rank")
 
     def expand_two_form(self, f: Form) -> dict:
@@ -299,11 +300,12 @@ class CoframeExpansion:
         out: dict = {}
         for (na, nb), coef in f.terms.items():
             for ja, ca in self.coords[na]:
+                cc = coef * ca
                 for jb, cb in self.coords[nb]:
                     if ja == jb:
                         continue
                     key = (ja, jb) if ja < jb else (jb, ja)
-                    c = coef * ca * cb
+                    c = cc * cb
                     add_into(out, key, -c if jb < ja else c)
         return out
 

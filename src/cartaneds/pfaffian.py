@@ -18,10 +18,10 @@ flag does not already meet the integral-element dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .scalars import (Chart, Dependent, LinearSolveResult, NonLinearInUnknowns,
-                      ROLE_GRASSMANN, Scalar, SeedStream, ZERO, add_into,
+                      ONE, ROLE_GRASSMANN, Scalar, SeedStream, ZERO, add_into,
                       generic_ranks, pivot_key, solve_linear, solve_rows)
 from .exterior import (CoframeExpansion, Form, Substitution, contact_form,
                        identity_substitution)
@@ -40,6 +40,16 @@ class NameClash(ValueError):
     or two of them one name: the names of the input collide, not the engine."""
 
 
+class Derivative(NamedTuple):
+    """What a build of the structure equations knows of one generator theta."""
+
+    key: frozenset            # frozenset(theta.terms.items())
+    form: Form                # d(theta)
+    touched: tuple            # the coordinates of d(theta)'s terms
+    pivots: tuple             # per touched name, its pivot generator's key or None
+    expansion: dict           # (label, label) -> Scalar: d(theta) modulo the generators
+
+
 @dataclass
 class PfaffianSystem:
     chart: Chart
@@ -47,7 +57,7 @@ class PfaffianSystem:
     pivots: list              # fiber pivot coordinate per generator
     zero_forms: list          # normalized Scalars carried by the ideal
     assumptions: list         # nonvanishing pivots accumulated so far
-    # frozenset(theta.terms.items()) -> d(theta), from the last build
+    # frozenset(theta.terms.items()) -> Derivative of theta, from the last build
     derivatives: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -119,7 +129,8 @@ def reduce_generators(chart: Chart, forms: Sequence[Form]):
         pname, pc = live[0]
         if pc.as_constant() is None:
             assumptions.append(pc.constraint_normal())
-        row = {n: v / pc for n, v in row.items()}
+        if pc != ONE:
+            row = {n: v / pc for n, v in row.items()}
         # keep earlier rows clean at the new pivot column
         for krow in kept_rows:
             c = krow.get(pname)
@@ -191,7 +202,12 @@ def structure_equations(sys: PfaffianSystem) -> StructureEquations:
 
     dtheta is reused from sys.derivatives, which this build then replaces
     and restrict and prolong hand on: they only drop bound coordinates or
-    append new ones, so the chart order that d reads never changes.
+    append new ones, so the chart order that d reads never changes.  So is
+    its expansion modulo the generators, when every coordinate of dtheta's
+    terms is still a label, or still the pivot of a generator with the same
+    terms: d(label) is the label and d(pivot) = -sum_c g[c] dc, so the
+    expansion reads nothing else.  It is kept by label names, each pair in
+    chart order, which is the order of its label indices in every build.
     """
     m, chart = sys.m, sys.chart
     slopes, named = {}, {}                    # named: slope name -> (en, xn)
@@ -211,13 +227,31 @@ def structure_equations(sys: PfaffianSystem) -> StructureEquations:
     exp = CoframeExpansion(chart, sys.generators, sys.pivots)
     tableau, torsion, coeffs = {}, {}, {}     # coeffs: (a, i, j) -> {slope: Scalar}
     known, derivatives = sys.derivatives, {}
-    for a, g in enumerate(sys.generators):
+    # a key found in known is replaced by the one stored there, so that a
+    # kept pivot key compares by identity
+    keys, was = [], []
+    for g in sys.generators:
         key = frozenset(g.terms.items())
-        dg = known.get(key) or g.d()
-        derivatives[key] = dg
+        w = known.get(key)
+        keys.append(w.key if w else key)
+        was.append(w)
+    by_pivot = dict(zip(sys.pivots, keys))
+    labels, label = exp.labels, exp.label
+    for a, g in enumerate(sys.generators):
+        w = was[a]
+        if w and w.pivots == tuple(by_pivot.get(n) for n in w.touched):
+            derivatives[keys[a]] = w
+            expansion = {(label[na], label[nb]): c for (na, nb), c in w.expansion.items()}
+        else:
+            dg = w.form if w else g.d()
+            expansion = exp.expand_two_form(dg)
+            touched = tuple(dict.fromkeys(n for idx in dg.terms for n in idx))
+            derivatives[keys[a]] = Derivative(
+                keys[a], dg, touched, tuple(by_pivot.get(n) for n in touched),
+                {(labels[k], labels[j]): c for (k, j), c in expansion.items()})
         # labels run omega (below m), then pi, and keys satisfy k < j, so a
         # pair is (om, om), (om, pi) or (pi, pi)
-        for (k, j), c in exp.expand_two_form(dg).items():
+        for (k, j), c in expansion.items():
             if j < m:
                 torsion[(a, k, j)] = c
             elif k < m:
@@ -275,7 +309,8 @@ def cartan_characters(se: StructureEquations, seed: int,
     polar rows of all m - 1 flag directions are stacked once; the k-th
     polar space is the leading block of its first k directions, exactly the
     matrix of that prefix, so one rank_fractions call per sample yields
-    every c_k.
+    every c_k.  Sampling stops once each c_k meets the term rank of the
+    tableau's nonzero pattern in those rows (generic_ranks).
     """
     sys = se.system
     m, t, s0 = sys.m, se.t, se.s0
@@ -285,6 +320,13 @@ def cartan_characters(se: StructureEquations, seed: int,
         names |= v.variables()
     stream = SeedStream(seed ^ 0xC0FFEE)
     cuts = [s0 * (k + 1) for k in range(m - 1)]
+    # the columns e of row s0 k + a that are not identically zero: A^a_{ek}
+    # on the coordinate flag, any A^a_{ei} on the generic one
+    pattern = [set() for _ in range(s0 * (m - 1))]
+    for a, e, i, _ in entries:
+        for k in range(m - 1):
+            if flag != "coordinate" or i == k:
+                pattern[s0 * k + a].add(e)
 
     def polar_matrices(point, p):
         if flag == "coordinate":
@@ -302,7 +344,7 @@ def cartan_characters(se: StructureEquations, seed: int,
                     row[e] = (row.get(e, 0) + v * direction[i]) % p
         return rows, cuts
 
-    best = generic_ranks(polar_matrices, names, stream)
+    best = generic_ranks(polar_matrices, names, stream, pattern=pattern)
     codims = (s0,) + tuple(s0 + r for r in best)
     s = []
     prev = 0

@@ -276,11 +276,33 @@ def _mono_div(a: Monomial, b: Monomial) -> Monomial:
 
 
 def p_div_exact(a: Poly, b: Poly) -> Optional[Poly]:
-    """Exact polynomial quotient a/b, or None when b does not divide a."""
+    """Exact polynomial quotient a/b, or None when b does not divide a.
+
+    A single-term b divides term by term: the exponents are subtracted, and
+    the first term they do not cover gives None.  Otherwise the leading
+    terms are divided until the remainder is zero.
+    """
     if not b:
         raise DomainError("division by the zero polynomial")
     if not a:
         return {}
+    if len(b) == 1:
+        (mb, cb), = b.items()
+        if not mb:
+            return a if cb == 1 else {m: _quo(c, cb) for m, c in a.items()}
+        quot = {}
+        for ma, ca in a.items():
+            da = dict(ma)
+            for n, e in mb:
+                r = da.get(n, 0) - e
+                if r < 0:
+                    return None
+                if r:
+                    da[n] = r
+                else:
+                    del da[n]
+            quot[tuple(sorted(da.items()))] = _quo(ca, cb)
+        return quot
     quot: Poly = {}
     rem = dict(a)
     mb, cb = p_leading(b)
@@ -354,7 +376,13 @@ def _p_content_poly(u: dict) -> Poly:
 
 
 def p_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive positive-leading gcd over the rationals."""
+    """Primitive positive-leading gcd over the rationals.
+
+    When either operand is a single term, the gcd is the monomial of the
+    least exponents common to every term of both, with coefficient 1 (1
+    when no variable is common to all of them); it is read off the
+    exponents directly.
+    """
     if not a and not b:
         return {}
     if not a:
@@ -363,8 +391,17 @@ def p_gcd(a: Poly, b: Poly) -> Poly:
     if not b:
         _, prim = p_content_sign(a)
         return prim
-    if p_degree(a) == 0 or p_degree(b) == 0:
-        return p_const(1)
+    if len(a) == 1 or len(b) == 1:
+        if len(a) != 1:
+            a, b = b, a
+        (ma,) = a
+        common = dict(ma)
+        for m in b:
+            if not common:
+                break
+            dm = dict(m)
+            common = {n: min(e, dm[n]) for n, e in common.items() if n in dm}
+        return {tuple(sorted(common.items())): 1} if common else p_const(1)
     # common monomial factor (cheap and frequent)
     common: dict = None
     for p in (a, b):
@@ -385,10 +422,6 @@ def p_gcd(a: Poly, b: Poly) -> Poly:
         mono_g: Poly = {mono: 1}
     else:
         mono_g = p_const(1)
-    if len(a) == 1 or len(b) == 1:
-        # a gcd with a single term is a monomial, and no variable is common
-        # to every term any more
-        return mono_g
     va, vb = p_variables(a), p_variables(b)
     shared = sorted(va & vb)
     if not shared:

@@ -344,7 +344,7 @@ class ExprParser:
             self.bindings = {**outer, **dict(zip(names, values))}
             body = self.expr()
             if terms and body.terms and body.degree != degree:
-                raise ValueError("cannot add forms of different degree")
+                raise ParseError("cannot add forms of different degree in sum(...)", self.line)
             if not terms:
                 degree = body.degree
             for idx, c in body.terms.items():

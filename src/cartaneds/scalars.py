@@ -15,7 +15,7 @@ code reading such a row never re-tests its entries for zero.
 Generic ranks are sampled at seeded points of F_p, one prime per sample,
 alternating between two large primes: each entry is reduced mod p at the
 point, the matrix is ranked in one echelon pass, and sampling stops once
-every block has full rank (see generic_ranks).
+every block meets the term rank of its nonzero pattern (see generic_ranks).
 """
 
 from __future__ import annotations
@@ -349,12 +349,14 @@ ONE = Scalar.const(1)
 
 
 def add_into(row: dict, key, value: Scalar) -> None:
-    """row[key] += value on a zero-free sparse row, dropping the key at zero."""
-    s = row.get(key, ZERO) + value
-    if s.is_zero():
-        row.pop(key, None)
-    else:
+    """row[key] += value on a zero-free sparse row, dropping the key at zero;
+    an absent key takes the value itself."""
+    old = row.get(key)
+    s = value if old is None else old + value
+    if s.num:
         row[key] = s
+    else:
+        row.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +536,9 @@ def solve_rows(rows: Sequence[tuple], unknowns: Sequence[str]) -> LinearSolveRes
             holders[v].discard(r)
         if pivot.as_constant() is None:
             assumptions.append(pivot.constraint_normal())
-        rhs = {v: -(c / pivot) for v, c in row.items()}
-        rhs_const = -(consts[r] / pivot)
+        inv = -(ONE / pivot)
+        rhs = {v: c * inv for v, c in row.items()}
+        rhs_const = consts[r] * inv
         solved[u] = (rhs, rhs_const)
         order.append(u)
         for k in sorted(hold):
@@ -636,8 +639,41 @@ def rank_fractions(rows: Sequence[Mapping[int, int]], cuts: Sequence[int], p: in
     return tuple(ranks)
 
 
+def _augment(pattern: Sequence[Iterable], owner: dict, r: int, seen: set) -> bool:
+    """Match row r, moving matched rows along an augmenting path; False
+    when the columns reachable from r (outside seen) are all taken."""
+    for c in pattern[r]:
+        if c not in seen:
+            seen.add(c)
+            o = owner.get(c)
+            if o is None or _augment(pattern, owner, o, seen):
+                owner[c] = r
+                return True
+    return False
+
+
+def term_ranks(pattern: Sequence[Iterable], cuts: Sequence[int]) -> tuple:
+    """Term ranks of the leading blocks pattern[:k], for k in cuts: the size
+    of a largest matching of rows to columns, where a row lists the columns
+    of its nonzero entries.  No matrix of that nonzero pattern has a larger
+    rank (Konig; Duff, Erisman and Reid, 1986, ch. 6).
+
+    Kuhn's augmenting paths, one row at a time: a largest matching of the
+    rows before a row grows by one exactly when a path from that row
+    augments it, so every prefix is counted on the way.
+    """
+    owner: dict = {}          # column -> the row matched to it
+    ranks, done = [], 0
+    for k in cuts:
+        for r in range(done, k):
+            _augment(pattern, owner, r, set())
+        done = k
+        ranks.append(len(owner))
+    return tuple(ranks)
+
+
 def generic_ranks(matrices: Callable[[dict, int], Optional[tuple]], names: Iterable[str],
-                  stream: SeedStream) -> tuple:
+                  stream: SeedStream, pattern: Optional[Sequence[Iterable]] = None) -> tuple:
     """Generic ranks of the leading blocks of a point-dependent rational matrix,
     by seeded sampling over F_p.
 
@@ -647,9 +683,17 @@ def generic_ranks(matrices: Callable[[dict, int], Optional[tuple]], names: Itera
     has no value mod p there, and the point is redrawn, up to 8 times per
     sample.  matrices may draw further values (flag directions) from stream;
     each caller has its own stream, so that shifts no other draw.  Each
-    block keeps its largest rank over at most SAMPLES samples, stopping once
-    every block has its row count.  If no sample served, AllSamplesDegenerate
-    is raised, so that no matrix reads as rank 0.
+    block keeps its largest rank over at most SAMPLES samples.  If no sample
+    served, AllSamplesDegenerate is raised, so that no matrix reads as rank 0.
+
+    Sampling stops once every block's rank meets its term rank (term_ranks),
+    the bound that the nonzero pattern of the rational matrix puts on the
+    rank of the matrix and of each of its samples: pattern lists, row by
+    row as matrices returns them, the columns of the entries that are not
+    identically zero.  It comes from the caller's symbolic entries, never
+    from a sample, whose residues may vanish by chance.  Without a pattern
+    the bound is the row counts.  The term ranks are matched only once a
+    sample falls short of the row counts.
 
     The error is one-sided: a sampled rank never exceeds the generic rank r,
     since a minor that vanishes identically vanishes at every point mod p.
@@ -657,9 +701,11 @@ def generic_ranks(matrices: Callable[[dict, int], Optional[tuple]], names: Itera
     r x r minor, or its point is a zero of the minor's reduction mod p; for
     a minor of degree D and a uniform point of F_p^n the latter has
     probability at most D/p, with p >= 2^61 - 1 (Schwartz, J. ACM 27, 1980;
-    Zippel 1979).
+    Zippel 1979).  The generic rank r never exceeds the term rank, so a
+    sample that meets the term rank has r, and no later sample could raise
+    it: the stop returns the ranks that all SAMPLES samples would.
     """
-    best = None
+    best = bound = None
     for k in range(SAMPLES):
         p = _PRIMES[k % 2]
         for _retry in range(8):
@@ -673,19 +719,25 @@ def generic_ranks(matrices: Callable[[dict, int], Optional[tuple]], names: Itera
         best = ranks if best is None else tuple(map(max, best, ranks))
         if best == tuple(cuts):
             break
+        if pattern is not None:
+            if bound is None:
+                bound = term_ranks(pattern, cuts)
+            if best == bound:
+                break
     if best is None:
         raise AllSamplesDegenerate("no sample point gave every entry a value mod p")
     return best
 
 
-def random_rank(matrix: Sequence[Sequence[Scalar]], seed: int) -> int:
-    """Generic rank of a matrix of scalars: max modular rank over seeded samples.
+def random_rank(rows: Sequence[Mapping[int, Scalar]], seed: int) -> int:
+    """Generic rank of a sparse matrix of scalars: max modular rank over
+    seeded samples.
 
-    Only the nonzero entries are reduced; a zero has denominator 1 and
-    could never make a sample point fail.  A matrix of full row rank takes
-    one sample.
+    A row maps a column to its entry and holds no zero, as rank_fractions
+    takes the residues; the rows are also the pattern of generic_ranks, so
+    a matrix of full row rank, or one whose first sample meets its term
+    rank, takes one sample.
     """
-    rows = [{j: c for j, c in enumerate(row) if not c.is_zero()} for row in matrix]
     names = set()
     for row in rows:
         for c in row.values():
@@ -697,5 +749,5 @@ def random_rank(matrix: Sequence[Sequence[Scalar]], seed: int) -> int:
             return None
         return reduced, (len(rows),)
 
-    (rank,) = generic_ranks(sampled, names, SeedStream(seed))
+    (rank,) = generic_ranks(sampled, names, SeedStream(seed), pattern=rows)
     return rank

@@ -162,6 +162,7 @@ def slope_clash_text(second: str) -> str:
 
 
 THW = "generator = thw : d(w) - w_x*d(x) - w_y*d(y)\n"
+MAXWELL_GENERATOR = "sum(i,j : F[i,j]*d(x[i])/\\d(x[j])) - sum(i : d(A[i])/\\d(x[i]))"
 GRIFFITHS_PROBLEM = """name = g
 [chart]
 independent = x y
@@ -219,6 +220,8 @@ multiplier = th : p*d(x)
      "x-slope of Zwt_t, but is already a chart coordinate (the t_x-slope of wt)"),
     (slope_clash_text("y_z"), "prolongation coordinate 'Zp1_x_y_z' would be both the "
      "y_z-slope of Zp1_x and the z-slope of Zp1_x_y"),
+    (fixture_text("maxwell").replace(MAXWELL_GENERATOR, "sum(i : F[i,1] + F[i,2]*d(x[1]))"),
+     "cannot add forms of different degree in sum(...) (line 13)"),
 ], ids=["explicit-without-theta", "metric-index-out-of-range",
         "unclosed-multiplier-index", "multiplier-uses-builtin", "multiplier-differential",
         "generator-mixes-form-degrees", "zero-parameter-to-negative-power",
@@ -228,7 +231,7 @@ multiplier = th : p*d(x)
         "parameter-named-like-a-jet", "field-named-like-a-grassmann-coordinate",
         "multiplier-named-like-a-grassmann-coordinate", "two-grassmann-names-coincide",
         "prolongation-coordinate-named-like-a-grassmann-coordinate",
-        "two-slopes-named-alike"])
+        "two-slopes-named-alike", "sum-mixes-form-degrees"])
 def test_malformed_input_exit_65(tmp_path, capsys, text, message):
     # the first three, "generator-mixes-form-degrees" to "generator-name-twice"
     # and the three Grassmann-coordinate names used to escape as

@@ -181,16 +181,21 @@ def test_report_bytes_match_golden_digests(name, label, overrides):
 
 def test_characters_rank_once_per_sample(reports, monkeypatch):
     # the m - 1 nested polar spaces are leading blocks of one stacked
-    # matrix, ranked in one rank_fractions call per sample
+    # matrix, ranked in one rank_fractions call per drawn sample point;
+    # on the coordinate flag, maxwell's final tableau meets its term ranks
+    # (10, 19, 25) on the first sample; the generic flag's are (10, 20, 26)
+    # and its generic ranks (10, 19, 25), so it takes every sample
     se = structure_equations(reports("maxwell", ()).ladder.final_system)
     assert se.m - 1 == 3
-    calls = []
-    rank = scalars.rank_fractions
+    calls, points = [], []
+    rank, draw = scalars.rank_fractions, scalars.sample_point
     monkeypatch.setattr(scalars, "rank_fractions", lambda *a: calls.append(1) or rank(*a))
-    for flag in ("coordinate", "generic"):
+    monkeypatch.setattr(scalars, "sample_point", lambda *a: points.append(1) or draw(*a))
+    for flag, samples in (("coordinate", 1), ("generic", scalars.SAMPLES)):
         calls.clear()
+        points.clear()
         cartan_characters(se, seed=0, flag=flag)
-        assert len(calls) == scalars.SAMPLES
+        assert len(calls) == len(points) == samples
 
 
 def test_generic_flag_only_where_the_coordinate_flag_falls_short(reports, monkeypatch):

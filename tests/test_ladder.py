@@ -305,6 +305,64 @@ def test_structure_equations_reusing_the_last_build_equal_a_fresh_build(monkeypa
             (want.residual, want.free, want.assumptions)
 
 
+def ladder_builds(monkeypatch, name):
+    """Every StructureEquations the ladder reads on a fixture, in order."""
+    from cartaneds import ladder, pfaffian
+    from cartaneds.cli import fixture_text
+    from cartaneds.problems import parse_problem
+    from cartaneds.report import analyze
+    build, builds = pfaffian.structure_equations, []
+    monkeypatch.setattr(ladder, "structure_equations",
+                        lambda sys: builds.append(build(sys)) or builds[-1])
+    assert analyze(parse_problem(fixture_text(name))).verdict == "involutive"
+    return builds
+
+
+@pytest.mark.parametrize("name", ["strong-integrability", "field-prolongation"])
+def test_builds_expand_only_what_changed(monkeypatch, name):
+    # dtheta's expansion modulo the generators is carried with dtheta and
+    # taken again only where theta or a touched pivot's generator changed;
+    # test_structure_equations_reusing_the_last_build_equal_a_fresh_build
+    # checks each such build against one from an empty map
+    from cartaneds.exterior import CoframeExpansion
+    expand, calls = CoframeExpansion.expand_two_form, []
+    monkeypatch.setattr(CoframeExpansion, "expand_two_form",
+                        lambda self, f: calls.append(1) or expand(self, f))
+    builds = ladder_builds(monkeypatch, name)
+    assert len(builds) == 7
+    assert 0 < len(calls) < sum(se.s0 for se in builds)
+
+
+@pytest.mark.parametrize("name", ["strong-integrability", "field-prolongation"])
+def test_characters_do_not_depend_on_the_term_rank_stop(monkeypatch, name):
+    # with term_ranks giving the row counts, sampling stops only at full
+    # row rank, as it did before the term rank bounded it
+    from cartaneds import scalars
+    from cartaneds.pfaffian import cartan_characters
+    builds = ladder_builds(monkeypatch, name)
+    flags = ("coordinate", "generic")
+    certified = [[cartan_characters(se, 5, f) for f in flags] for se in builds]
+    monkeypatch.setattr(scalars, "term_ranks", lambda pattern, cuts: tuple(cuts))
+    assert certified == [[cartan_characters(se, 5, f) for f in flags] for se in builds]
+
+
+def test_coordinate_flag_ranks_one_sample_on_strong_integrability(monkeypatch):
+    from cartaneds import pfaffian, scalars
+    characters, rank = pfaffian.cartan_characters, scalars.rank_fractions
+    samples, ranked = [], []
+
+    def counted(se, seed, flag="coordinate"):
+        before = len(ranked)
+        out = characters(se, seed, flag)
+        samples.append((flag, len(ranked) - before))
+        return out
+    monkeypatch.setattr(pfaffian, "cartan_characters", counted)
+    monkeypatch.setattr(scalars, "rank_fractions", lambda *a: ranked.append(1) or rank(*a))
+    ladder_builds(monkeypatch, "strong-integrability")
+    coordinate = [n for flag, n in samples if flag == "coordinate"]
+    assert len(coordinate) == 7 and set(coordinate) == {1}
+
+
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_maxwell_in_n_dimensions_ends_involutive_with_one_gauge_function(n):
     # fixtures/maxwell.prob with its range and metric lines edited; the

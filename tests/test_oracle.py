@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from cartaneds.poly import p_gcd  # noqa: E402
+from cartaneds.poly import p_div_exact, p_gcd  # noqa: E402
 from cartaneds.scalars import Scalar, random_rank, solve_linear, solve_rows  # noqa: E402
 
 X, Y = sympy.symbols("x y")
@@ -51,6 +51,11 @@ def affine_system(draw):
     coeffs = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
     consts = [draw(entry) for _ in range(rows)]
     return coeffs, consts
+
+
+def sparse(matrix):
+    """random_rank's input for a dense matrix of scalars: its nonzero entries."""
+    return [{j: c for j, c in enumerate(row) if not c.is_zero()} for row in matrix]
 
 
 def field_rank(rows):
@@ -96,7 +101,7 @@ def square_matrix(draw):
 @given(square_matrix(), st.integers(0, 2 ** 32))
 def test_random_rank_matches_sympy(rows, seed):
     # the sampled generic rank against sympy's exact rank over Q(x, y)
-    assert random_rank(rows, seed) == field_rank(rows)
+    assert random_rank(sparse(rows), seed) == field_rank(rows)
 
 
 linear = st.one_of(poly(2, 1, 0), poly(2, 0, 1))
@@ -116,6 +121,37 @@ def test_p_gcd_matches_sympy(common, f, g):
         return
     ratio = sympy.cancel(ours / theirs)
     assert ratio.is_Rational and ratio != 0
+
+
+term = poly(1, 3, 3).filter(lambda s: not s.is_zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(term, poly(4, 3, 3), st.booleans())
+def test_single_term_p_gcd_matches_sympy(t, f, swap):
+    # a single-term operand: the gcd is the monomial of the least common
+    # exponents, with coefficient 1, on either side
+    a, b = (f.num, t.num) if swap else (t.num, f.num)
+    ours = p_gcd(a, b)
+    assert len(ours) == 1 and list(ours.values()) == [1]
+    theirs = sympy.gcd(to_sympy(a), to_sympy(b))
+    ratio = sympy.cancel(to_sympy(ours) / theirs)
+    assert ratio.is_Rational and ratio != 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly(4, 3, 3), term, st.booleans())
+def test_division_by_a_single_term_matches_sympy(f, t, multiple):
+    # f * t is divisible by t; f itself often is not, and gives None
+    a = (f * t).num if multiple else f.num
+    got = p_div_exact(a, t.num)
+    q, r = sympy.div(to_sympy(a), to_sympy(t.num), X, Y)
+    if r != 0:
+        assert got is None
+    else:
+        assert got is not None and sympy.expand(to_sympy(got) - q) == 0
+    if multiple:
+        assert got == f.num
 
 
 def grlex_leading_coefficient(expr):

@@ -11,7 +11,7 @@ from cartaneds.poly import DomainError, p_add, p_gcd, p_leading, p_mul, p_sub
 from cartaneds.scalars import (_PRIMES, SAMPLES, AllSamplesDegenerate, Chart,
                                Dependent, Scalar, ONE, ZERO, SeedStream, generic_ranks,
                                _linear_split, add_into, rank_fractions, random_rank,
-                               solve_linear, solve_rows)
+                               sample_point, solve_linear, solve_rows, term_ranks)
 
 
 def V(name):
@@ -578,28 +578,33 @@ def mod_rows(rows, p):
     return [{c: reduce_mod(v, p) for c, v in row.items()} for row in rows]
 
 
+def sparse(matrix):
+    """random_rank's input for a dense matrix of scalars: its nonzero entries."""
+    return [{j: c for j, c in enumerate(row) if not c.is_zero()} for row in matrix]
+
+
 def test_random_rank_identity():
     I3 = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
-    assert random_rank(I3, seed=1) == 3
+    assert random_rank(sparse(I3), seed=1) == 3
 
 
 def test_random_rank_proportional_rows():
     x = V("x")
-    assert random_rank([[x, x], [ONE, ONE]], seed=3) == 1
+    assert random_rank(sparse([[x, x], [ONE, ONE]]), seed=3) == 1
 
 
 def test_random_rank_contact_tableau():
     # the 1x3 tableau of the contact system on J1(R^3, R) contracted with a
     # generic direction: entries (v1, v2, v3), rank 1
     v = [V("v1"), V("v2"), V("v3")]
-    assert random_rank([v], seed=5) == 1
+    assert random_rank(sparse([v]), seed=5) == 1
 
 
 def test_random_rank_determinism():
     x, y = V("x"), V("y")
     m = [[x, y, x * y], [y, x, x + y], [x + y, x - y, ONE]]
-    a = random_rank(m, seed=42)
-    b = random_rank(m, seed=42)
+    a = random_rank(sparse(m), seed=42)
+    b = random_rank(sparse(m), seed=42)
     assert a == b
 
 
@@ -608,7 +613,7 @@ def test_random_rank_determinism():
                 min_size=1, max_size=4))
 def test_random_rank_matches_exact_rank_on_rationals(rows):
     scalars = [[C(v) for v in r] for r in rows]
-    assert random_rank(scalars, seed=11) == exact_rank(rows)
+    assert random_rank(sparse(scalars), seed=11) == exact_rank(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -641,7 +646,7 @@ def test_a_point_on_a_pole_is_redrawn(monkeypatch):
     x, y = V("x"), V("y")
     points = iter([{"x": 1, "y": 1}, {"x": 2, "y": 1}])
     monkeypatch.setattr(scalars, "sample_point", lambda names, stream, p: next(points))
-    assert random_rank([[ONE / (x - y)]], seed=0) == 1
+    assert random_rank(sparse([[ONE / (x - y)]]), seed=0) == 1
     assert next(points, None) is None
 
 
@@ -650,10 +655,10 @@ def test_sampling_stops_at_full_rank(monkeypatch):
     rank = scalars.rank_fractions
     monkeypatch.setattr(scalars, "rank_fractions", lambda *a: calls.append(1) or rank(*a))
     x = V("x")
-    assert random_rank([[x, ONE], [ONE, x]], seed=2) == 2
+    assert random_rank(sparse([[x, ONE], [ONE, x]]), seed=2) == 2
     assert len(calls) == 1
     calls.clear()
-    assert random_rank([[x, x], [ONE, ONE]], seed=3) == 1
+    assert random_rank(sparse([[x, x], [ONE, ONE]]), seed=3) == 1
     assert len(calls) == SAMPLES
 
 
@@ -662,7 +667,7 @@ def test_no_usable_prime_is_not_rank_zero():
     P1, P2 = _PRIMES
     f = Fraction(1, P1 * P2)
     with pytest.raises(AllSamplesDegenerate):
-        random_rank([[C(f), ZERO], [ZERO, C(f)]], seed=0)
+        random_rank(sparse([[C(f), ZERO], [ZERO, C(f)]]), seed=0)
     # the sampling kernel redraws such a point instead of counting it
     good = ([{0: 1}, {1: 1}], [2])
     draws = iter([None, None] + [good] * SAMPLES)
@@ -718,7 +723,7 @@ def test_a_sample_whose_prime_divides_a_coefficient_is_skipped(monkeypatch):
     # and the second, at P2, serves
     P1, P2 = _PRIMES
     primes = ranked_primes(monkeypatch)
-    assert random_rank([[C(Fraction(1, P1))]], seed=0) == 1
+    assert random_rank(sparse([[C(Fraction(1, P1))]]), seed=0) == 1
     assert primes == [P2]
 
 
@@ -726,10 +731,10 @@ def test_samples_alternate_the_primes(monkeypatch):
     P1, P2 = _PRIMES
     primes = ranked_primes(monkeypatch)
     x = V("x")
-    assert random_rank([[x, x], [ONE, ONE]], seed=3) == 1
+    assert random_rank(sparse([[x, x], [ONE, ONE]]), seed=3) == 1
     assert primes == [P1, P2, P1]
     primes.clear()
-    assert random_rank([[x, ONE], [ONE, x]], seed=2) == 2
+    assert random_rank(sparse([[x, ONE], [ONE, x]]), seed=2) == 2
     assert primes == [P1]
 
 
@@ -752,7 +757,7 @@ def test_random_rank_evaluates_only_nonzero_entries(monkeypatch):
                         lambda self, point: calls.append(1) or evaluate(self, point))
     monkeypatch.setattr(Scalar, "residue",
                         lambda self, *a: reduced.append(1) or reduce(self, *a))
-    assert random_rank(matrix, seed=4) == n
+    assert random_rank(sparse(matrix), seed=4) == n
     assert len(calls) <= SAMPLES * nnz
     # full rank: one sample at one prime, and no exact value needed
     assert len(reduced) == nnz and not calls
@@ -855,3 +860,97 @@ def test_prefix_ranks_do_not_depend_on_the_row_order_within_blocks(case, p, rnd)
         shuffled += block
         done = k
     assert rank_fractions(shuffled, cuts, p) == rank_fractions(rows, cuts, p)
+
+
+# ---------------------------------------------------------------------------
+# term ranks and the sampling stop
+# ---------------------------------------------------------------------------
+
+def brute_matching(pattern):
+    """Largest matching of rows to columns over a pattern, by trying every
+    column (or none) for each row in turn."""
+    def best(r, used):
+        if r == len(pattern):
+            return 0
+        return max([best(r + 1, used)] + [1 + best(r + 1, used | {c})
+                                          for c in pattern[r] if c not in used])
+    return best(0, frozenset())
+
+
+@st.composite
+def patterns_with_cuts(draw):
+    ncols = draw(st.integers(1, 5))
+    pattern = draw(st.lists(st.sets(st.integers(0, ncols - 1), max_size=ncols), max_size=6))
+    cuts = sorted(draw(st.lists(st.integers(0, len(pattern)), max_size=4)))
+    return ncols, pattern, cuts
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns_with_cuts(), st.randoms(use_true_random=False))
+def test_term_ranks_are_largest_matchings_and_bound_the_rank(case, rnd):
+    ncols, pattern, cuts = case
+    got = term_ranks(pattern, cuts)
+    assert got == tuple(brute_matching(pattern[:k]) for k in cuts)
+    # a rational matrix with that nonzero pattern ranks no higher
+    rows = [[Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 3), rnd.randint(1, 2))
+             if c in row else Fraction(0) for c in range(ncols)] for row in pattern]
+    for k, t in zip(cuts, got):
+        assert exact_rank(rows[:k]) <= t
+
+
+@st.composite
+def polynomial_blocks(draw):
+    """Sparse rows of integer polynomials in x, y, some of them sums of
+    earlier rows, so that ranks often fall below the term rank, and
+    nondecreasing block cuts into them."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.builds(lambda a, b, i, j: C(a) * V("x") ** i + C(b) * V("y") ** j,
+                      st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2),
+                      st.integers(0, 2))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if rows and draw(st.booleans()):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            row = dict(rows[i])
+            for c, v in rows[j].items():
+                add_into(row, c, v)
+        else:
+            row = {c: v for c, v in draw(st.dictionaries(st.integers(0, ncols - 1), entry,
+                                                         max_size=ncols)).items()
+                   if not v.is_zero()}
+        rows.append(row)
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), min_size=1, max_size=4)))
+    return rows, cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_blocks(), st.integers(0, 2 ** 32))
+def test_the_term_rank_stop_returns_what_every_sample_gives(case, seed):
+    rows, cuts = case
+    names = {n for row in rows for v in row.values() for n in v.variables()}
+
+    def sampled(point, p):
+        return [{c: v.residue(point, p) for c, v in row.items()} for row in rows], cuts
+    got = generic_ranks(sampled, names, SeedStream(seed), pattern=rows)
+    # all SAMPLES samples, drawn as generic_ranks draws them (integer
+    # polynomials have a value at every point)
+    stream, every = SeedStream(seed), []
+    for k in range(SAMPLES):
+        p = _PRIMES[k % 2]
+        every.append(rank_fractions(*sampled(sample_point(names, stream, p), p), p))
+    assert got == tuple(map(max, *every))
+
+
+def test_sampling_stops_at_the_term_rank(monkeypatch):
+    # rank 1 of 2 rows whose entries share one column: the term rank is 1,
+    # so the first sample is final; proportional rows of a full pattern are
+    # not, and take every sample
+    calls = []
+    rank = scalars.rank_fractions
+    monkeypatch.setattr(scalars, "rank_fractions", lambda *a: calls.append(1) or rank(*a))
+    x = V("x")
+    assert random_rank([{0: x}, {0: ONE + x}], seed=1) == 1
+    assert len(calls) == 1
+    calls.clear()
+    assert random_rank([{0: x, 1: x}, {0: ONE, 1: ONE}], seed=3) == 1
+    assert len(calls) == SAMPLES
