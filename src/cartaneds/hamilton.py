@@ -7,19 +7,23 @@ Z .| dTheta = 0 for the decomposable Z = /\\_i (d/dx^i + Z^A_i d/du^A),
 solves them for the Hamilton submanifold, and induces the linear Pfaffian of
 pulled-back contact forms on it.  Only the du^A components sigma_A of
 sigma = Z .| dTheta are solved: its dx^i component is -sum_A Z^A_i sigma_A.
-The sigma_A are affine-linear in Z when Theta has vertical degree at most 1,
-which the classical and Griffiths builds guarantee; an explicit Theta may
-not.
+They are read off dTheta in one pass, as sigma_A = dTheta(Z_1, ..., Z_m,
+d/du^A) (hamilton_equations); the successive contraction by Z_1, ..., Z_m
+(_hamilton_form) is kept as the independent check of the solved locus
+(residual_check).  The sigma_A are affine-linear in Z when Theta has
+vertical degree at most 1, which the classical and Griffiths builds
+guarantee; an explicit Theta may not.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .scalars import (Chart, Dependent, NonLinearInUnknowns, ROLE_FIELD,
                       ROLE_GRASSMANN, ROLE_JET, ROLE_MULTIPLIER, Scalar, ONE,
-                      solve_linear)
+                      add_into, solve_linear)
 from .exterior import (Form, Substitution, contact_form, vertical_degree,
                        volume_contraction)
 from .pfaffian import EmptyLocus, PfaffianSystem, _dedupe, make_system
@@ -193,18 +197,56 @@ def _hamilton_form(ls: LepageSpace, gchart: Chart) -> Form:
     return sigma
 
 
-def hamilton_equations(ls: LepageSpace, gchart: Chart) -> list:
-    """The du^A coefficients of Z .| dTheta, in chart order, as scalars on
-    the Grassmann chart.
+def _parity(seq: Sequence[int]) -> int:
+    """+1 or -1: the sign of the permutation seq of 0..n-1."""
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
 
-    Since sigma = Z .| dTheta satisfies sigma(Z_i) = 0, its dx^i coefficient
-    is -sum_A Z^A_i sigma_A and adds nothing to these.  They are
-    affine-linear in the Z fiber coordinates when Theta has vertical degree
-    at most 1, which the classical and Griffiths builds guarantee; an
-    explicit Theta may not.
+
+def hamilton_equations(ls: LepageSpace, gchart: Chart) -> list:
+    """The du^A coefficients sigma_A = Omega(Z_1, ..., Z_m, d/du^A) of
+    sigma = Z .| dTheta, in chart order and without zeros, as scalars on the
+    Grassmann chart; equal to those of the successive contraction
+    _hamilton_form.
+
+    They are read off Omega = dTheta term by term.  Since dx^k(Z_i) is the
+    Kronecker delta, a term c dy^(j_0) /\\ ... /\\ dy^(j_m) holding du^A
+    gives sigma_A the determinant of its columns at the rows Z_1, ..., Z_m,
+    d/du^A: each of its dx^i fills the row of Z_i, and its other vertical
+    names fill the rows of the slots i whose dx^i it lacks, in every
+    bijection, each with the sign of its permutation and the product of the
+    Z^B_i it picks.  A term of vertical degree v has v - 1 such slots, so
+    the classical and Griffiths builds (v <= 2) take one product per term
+    and du^A.
+
+    Since sigma(Z_i) = 0, the dx^i coefficient of sigma is
+    -sum_A Z^A_i sigma_A and adds nothing to these.  They are affine-linear
+    in the Z fiber coordinates when Theta has vertical degree at most 1,
+    which the classical and Griffiths builds guarantee; an explicit Theta
+    may not.
     """
-    terms = _hamilton_form(ls, gchart).terms
-    return [terms[(d.name,)] for d in ls.chart.dependent if (d.name,) in terms]
+    chart = ls.chart
+    xs, m = chart.independent, chart.m
+    slot = {x: i for i, x in enumerate(xs)}
+    sigma: dict = {}
+    for idx, c in ls.omega.terms.items():
+        h = 0                               # horizontal names come first in chart order
+        while h < len(idx) and idx[h] in slot:
+            h += 1
+        rows = [None] * (m + 1)             # row r (Z_(r+1), then d/du^A) -> column of idx
+        for col in range(h):
+            rows[slot[idx[col]]] = col
+        free = [r for r in range(m) if rows[r] is None]
+        for a in range(h, len(idx)):
+            rows[m] = a
+            others = [col for col in range(h, len(idx)) if col != a]
+            for cols in itertools.permutations(others):
+                term = c
+                for r, col in zip(free, cols):
+                    rows[r] = col
+                    term = term * Scalar.var(grassmann_name(idx[col], xs[r]))
+                add_into(sigma, idx[a], term if _parity(rows) > 0 else -term)
+    return [sigma[d.name] for d in chart.dependent if d.name in sigma]
 
 
 def solve_hamilton_locus(ls: LepageSpace, gchart: Chart,

@@ -129,9 +129,9 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return {}
     if len(a) == 1 and _ONE_MONO in a:
-        return _scale(b, a[_ONE_MONO])
+        return p_scale(b, a[_ONE_MONO])
     if len(b) == 1 and _ONE_MONO in b:
-        return _scale(a, b[_ONE_MONO])
+        return p_scale(a, b[_ONE_MONO])
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():  # _add_term inlined in this hot loop
@@ -144,7 +144,7 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _scale(a: Poly, c) -> Poly:
+def p_scale(a: Poly, c) -> Poly:
     """c*a for a coefficient c != 0: no terms merge or vanish."""
     if c == 1:
         return a
@@ -254,7 +254,14 @@ def p_content_sign(a: Poly):
 
 def p_clear_den_content(num: Poly, den: Poly):
     """num and den divided by the signed content of den, so that den is
-    primitive with a positive leading coefficient and num/den is unchanged."""
+    primitive with a positive leading coefficient and num/den is unchanged.
+
+    A constant den is its own signed content: num is divided by it and den
+    becomes 1, with no content scan.
+    """
+    if len(den) == 1 and _ONE_MONO in den:
+        c = den[_ONE_MONO]
+        return (num, den) if c == 1 else ({m: _quo(a, c) for m, a in num.items()}, p_const(1))
     content, prim = p_content_sign(den)
     if content == 1:
         return num, prim

@@ -11,6 +11,8 @@ The expression grammar (shared with the CLI):
     name[i,j]    indexed families, expanded to flat names (F_12, ...)
     sum(i,j : expr)         summation over declared index ranges
 
+ExprParser reads an expression once, then computes it: a sum body is read
+once and computed per binding, and syntax errors come before errors of value.
 See docs/problem-format.md and docs/problem-grammar.ebnf for the format.
 """
 
@@ -21,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .scalars import Chart, Dependent, Scalar, ROLE_FIELD, ROLE_JET, add_into
 from .exterior import Form, volume_contraction, volume_form
@@ -175,15 +177,30 @@ def _isqrt_exact(n: int):
     return r if r * r == n else None
 
 
+Compiled = Callable[[dict], Form]     # sum-index bindings -> the value
+
+
 class ExprParser:
-    """Recursive descent over the token list; values are Forms (degree 0 = scalar)."""
+    """Recursive descent over the token list, compiling an expression once.
+
+    Each grammar method reads its tokens and returns a closure from the
+    index bindings (a dict from the sum indices in scope to ints) to the
+    value, a Form (degree 0 = scalar).  A sum compiles its body once and
+    runs it once per binding.  So every syntax error (a misplaced token, an
+    index name that is unbound or has no range) is raised while compiling,
+    before any value is computed; errors of value (an undeclared name, a
+    division by zero, forms of different degree) are raised when the
+    closures run, in the order the expression is read.  A degree-0 product
+    whose left factor is zero skips the multiplication, but its other
+    factors still run, so each of their names is resolved and checked.
+    """
 
     def __init__(self, tokens, ctx: ExprContext, line: int):
         self.toks = tokens
         self.i = 0
         self.ctx = ctx
         self.line = line
-        self.bindings = {}
+        self.scope = frozenset()    # the sum indices bound where the parser stands
 
     def peek(self):
         return self.toks[self.i]
@@ -199,57 +216,83 @@ class ExprParser:
             raise ParseError(f"expected {val!r}, found {v!r}", self.line, pos + 1)
 
     def parse(self) -> Form:
-        v = self.expr()
+        run = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input at {val!r}", self.line, pos + 1)
-        return v
+        return run({})
 
-    def expr(self) -> Form:
-        v = self.term()
+    def expr(self) -> Compiled:
+        first = self.term()
+        rest = []
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
+            if kind != "op" or val not in "+-":
+                break
+            self.next()
+            rest.append((val == "+", pos, self.term()))
+        if not rest:
+            return first
+        line = self.line
+
+        def run(env):
+            v = first(env)
+            for plus, pos, operand in rest:
+                rhs = operand(env)
                 if v.degree != rhs.degree and v.terms and rhs.terms:
                     raise ParseError(f"cannot add a {rhs.degree}-form to a {v.degree}-form",
-                                     self.line, pos + 1)
-                v = v + rhs if val == "+" else v - rhs
-            else:
-                return v
+                                     line, pos + 1)
+                v = v + rhs if plus else v - rhs
+            return v
+        return run
 
-    def term(self) -> Form:
-        v = self.power()
+    def term(self) -> Compiled:
+        first = self.power()
+        rest = []
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val in ("*", "/", "/\\"):
-                self.next()
-                rhs = self.power()
-                if val == "/":
-                    if rhs.degree != 0:
-                        raise ParseError("division by a form of positive degree", self.line, pos + 1)
-                    if rhs.as_scalar().is_zero():
-                        raise ParseError("division by zero", self.line, pos + 1)
-                    v = v.scale(Scalar.const(1) / rhs.as_scalar())
-                else:
-                    v = v.wedge(rhs) if v.degree or rhs.degree else Form.scalar(
-                        self.ctx.chart, v.as_scalar() * rhs.as_scalar())
-            else:
-                return v
-
-    def power(self) -> Form:
-        v = self.unary()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
+            if kind != "op" or val not in ("*", "/", "/\\"):
+                break
             self.next()
-            e = self.exponent()
+            rest.append((val, pos, self.power()))
+        if not rest:
+            return first
+        chart, line = self.ctx.chart, self.line
+
+        def run(env):
+            v = first(env)
+            for op, pos, operand in rest:
+                rhs = operand(env)
+                if op == "/":
+                    if rhs.degree != 0:
+                        raise ParseError("division by a form of positive degree", line, pos + 1)
+                    if rhs.as_scalar().is_zero():
+                        raise ParseError("division by zero", line, pos + 1)
+                    v = v.scale(Scalar.const(1) / rhs.as_scalar())
+                elif v.degree or rhs.degree:
+                    v = v.wedge(rhs)
+                elif v.terms:
+                    v = Form.scalar(chart, v.as_scalar() * rhs.as_scalar())
+            return v
+        return run
+
+    def power(self) -> Compiled:
+        base = self.unary()
+        kind, val, pos = self.peek()
+        if kind != "op" or val != "^":
+            return base
+        self.next()
+        e = self.exponent()
+        chart, line = self.ctx.chart, self.line
+
+        def run(env):
+            v = base(env)
             if v.degree != 0:
-                raise ParseError("only degree-0 expressions take powers", self.line, pos + 1)
+                raise ParseError("only degree-0 expressions take powers", line, pos + 1)
             if e < 0 and v.is_zero():
-                raise ParseError("division by zero", self.line, pos + 1)
-            return Form.scalar(self.ctx.chart, v.as_scalar() ** e)
-        return v
+                raise ParseError("division by zero", line, pos + 1)
+            return Form.scalar(chart, v.as_scalar() ** e)
+        return run
 
     def exponent(self) -> int:
         kind, val, pos = self.next()
@@ -261,58 +304,65 @@ class ExprParser:
             raise ParseError("exponent must be an integer literal", self.line, pos + 1)
         return -val if neg else val
 
-    def unary(self) -> Form:
+    def unary(self) -> Compiled:
         kind, val, pos = self.peek()
         if kind == "op" and val in "+-":
             self.next()
-            v = self.unary()
-            return v if val == "+" else -v
+            operand = self.unary()
+            return operand if val == "+" else lambda env: -operand(env)
         return self.atom()
 
-    def atom(self) -> Form:
+    def atom(self) -> Compiled:
+        ctx, line = self.ctx, self.line
         kind, val, pos = self.next()
         if kind == "num":
-            return Form.scalar(self.ctx.chart, Scalar.const(val))
+            const = Form.scalar(ctx.chart, Scalar.const(val))
+            return lambda env: const
         if kind == "op" and val == "(":
-            v = self.expr()
+            run = self.expr()
             self.expect(")")
-            return v
-        if kind == "name":
-            nk, nv, npos = self.peek()
-            if val == "d" and nk == "op" and nv == "(":
-                self.next()
-                inner = self.expr()
-                self.expect(")")
-                if inner.degree != 0:
-                    raise ParseError("d() takes a degree-0 expression", self.line, npos + 1)
-                if self.ctx.fresh and inner.as_scalar().variables() & set(self.ctx.fresh):
-                    raise ParseError("d() of a new multiplier name", self.line, npos + 1)
-                return inner.d()
-            if val == "sum" and nk == "op" and nv == "(":
-                self.next()
-                return self.summation()
-            if nk == "op" and nv == "[":
-                self.next()
-                indices = self.index_list()
-                return self.ctx.lookup_indexed(val, indices, self.line)
-            if val == "eta":
-                return eta_form(self.ctx.chart, (), self.ctx.metric, self.line)
-            if val in self.bindings:
-                return Form.scalar(self.ctx.chart, Scalar.const(self.bindings[val]))
-            return self.ctx.lookup(val, self.line)
-        raise ParseError(f"unexpected token {val!r}", self.line, pos + 1)
+            return run
+        if kind != "name":
+            raise ParseError(f"unexpected token {val!r}", line, pos + 1)
+        nk, nv, npos = self.peek()
+        if val == "d" and nk == "op" and nv == "(":
+            self.next()
+            inner = self.expr()
+            self.expect(")")
 
-    def index_list(self):
+            def differential(env):
+                v = inner(env)
+                if v.degree != 0:
+                    raise ParseError("d() takes a degree-0 expression", line, npos + 1)
+                if ctx.fresh and v.as_scalar().variables() & set(ctx.fresh):
+                    raise ParseError("d() of a new multiplier name", line, npos + 1)
+                return v.d()
+            return differential
+        if val == "sum" and nk == "op" and nv == "(":
+            self.next()
+            return self.summation()
+        if nk == "op" and nv == "[":
+            self.next()
+            indices = self.index_list()
+            return lambda env: ctx.lookup_indexed(
+                val, [env[i] if type(i) is str else i for i in indices], line)
+        if val == "eta":
+            return lambda env: eta_form(ctx.chart, (), ctx.metric, line)
+        if val in self.scope:
+            return lambda env: Form.scalar(ctx.chart, Scalar.const(env[val]))
+        return lambda env: ctx.lookup(val, line)
+
+    def index_list(self) -> list:
+        """The indices of name[...]: an int, or the name of a bound sum index."""
         out = []
         while True:
             kind, val, pos = self.next()
             if kind == "num":
                 out.append(val)
             elif kind == "name":
-                if val in self.bindings:
-                    out.append(self.bindings[val])
-                else:
+                if val not in self.scope:
                     raise ParseError(f"unbound index {val!r}", self.line, pos + 1)
+                out.append(val)
             else:
                 raise ParseError("expected an index", self.line, pos + 1)
             kind, val, pos = self.next()
@@ -321,7 +371,7 @@ class ExprParser:
             if val != ",":
                 raise ParseError("expected ',' or ']' in index list", self.line, pos + 1)
 
-    def summation(self) -> Form:
+    def summation(self) -> Compiled:
         names = []
         while True:
             kind, val, pos = self.next()
@@ -336,22 +386,29 @@ class ExprParser:
         for n in names:
             if n not in self.ctx.ranges:
                 raise ParseError(f"index {n!r} has no declared range", self.line)
-        # ranges are non-empty, so the body is parsed at least once
-        start, outer = self.i, self.bindings
-        degree, terms = 0, {}
-        for values in itertools.product(*(self.ctx.ranges[n] for n in names)):
-            self.i = start
-            self.bindings = {**outer, **dict(zip(names, values))}
-            body = self.expr()
-            if terms and body.terms and body.degree != degree:
-                raise ParseError("cannot add forms of different degree in sum(...)", self.line)
-            if not terms:
-                degree = body.degree
-            for idx, c in body.terms.items():
-                add_into(terms, idx, c)
-        self.bindings = outer
+        outer = self.scope
+        self.scope = outer | set(names)
+        body = self.expr()
+        self.scope = outer
         self.expect(")")
-        return Form(self.ctx.chart, degree, terms)
+        ranges = [self.ctx.ranges[n] for n in names]
+        chart, line = self.ctx.chart, self.line
+
+        def run(env):
+            # ranges are non-empty, so the body runs at least once
+            degree, terms = 0, {}
+            for values in itertools.product(*ranges):
+                inner = dict(env)
+                inner.update(zip(names, values))
+                form = body(inner)
+                if terms and form.terms and form.degree != degree:
+                    raise ParseError("cannot add forms of different degree in sum(...)", line)
+                if not terms:
+                    degree = form.degree
+                for idx, c in form.terms.items():
+                    add_into(terms, idx, c)
+            return Form(chart, degree, terms)
+        return run
 
 
 def parse_expression(text: str, ctx: ExprContext, line: int = 0) -> Form:

@@ -26,8 +26,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .poly import (DomainError, Poly, p_add, p_clear_den_content, p_const, p_constant,
                    p_content_sign, p_diff, p_div_exact, p_eval, p_gcd, p_is_one,
-                   p_linear_split, p_mul, p_neg, p_normal, p_pow, p_residue, p_str,
-                   p_strip_factors, p_sub, p_var, p_variables)
+                   p_linear_split, p_mul, p_neg, p_normal, p_pow, p_residue, p_scale,
+                   p_str, p_strip_factors, p_sub, p_var, p_variables)
 
 
 class NonLinearInUnknowns(ValueError):
@@ -70,7 +70,8 @@ class Scalar:
     primitive positive-leading, and so is the quotient of one by a primitive
     positive-leading factor of it, so cross-cancelled products need no
     content clearing.  A product a/b * c/d divides out gcd(a, d) and
-    gcd(c, b) only; a quotient divides out gcd(a, c) and gcd(d, b).  A sum
+    gcd(c, b) only, and a constant operand only scales the other's
+    numerator; a quotient divides out gcd(a, c) and gcd(d, b).  A sum
     with a denominator 1 is already canonical; for other denominators
     (Henrici's rule) only g = gcd(b, d) can share a factor with
     a*(d/g) + c*(b/g), so the sum needs no gcd at all when g = 1.
@@ -185,13 +186,15 @@ class Scalar:
         if not self.num or not o.num:
             return Scalar.const(0)
         a, b, c, d = self.num, self.den, o.num, o.den
-        if p_is_one(d) and p_is_one(c):
-            return self
-        if p_is_one(b) and p_is_one(a):
-            return o
-        if not (p_is_one(d) or p_constant(a) is not None):
+        ka, kc = p_constant(a), p_constant(c)
+        # a constant operand k scales the other's numerator: gcd(k*a, b) = gcd(a, b)
+        if kc is not None and p_is_one(d):
+            return self if kc == 1 else _canonical(p_scale(a, kc), b)
+        if ka is not None and p_is_one(b):
+            return o if ka == 1 else _canonical(p_scale(c, ka), d)
+        if ka is None and not p_is_one(d):
             a, d = _cancel(a, d)
-        if not (p_is_one(b) or p_constant(c) is not None):
+        if kc is None and not p_is_one(b):
             c, b = _cancel(c, b)
         den = d if p_is_one(b) else b if p_is_one(d) else p_mul(b, d)
         return _canonical(p_mul(a, c), den)

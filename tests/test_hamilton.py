@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cartaneds.cli import FIXTURE_NAMES, fixture_text
 from cartaneds.scalars import (Chart, Dependent, NonLinearInUnknowns, Scalar,
@@ -228,6 +230,57 @@ def test_hamilton_equations_are_the_vertical_components():
     assert len(eqs) == 16
     terms = _hamilton_form(ls, g).terms
     assert eqs == [terms[(d.name,)] for d in ls.chart.dependent if (d.name,) in terms]
+
+
+def vertical_components(ls, g):
+    """The du^A coefficients of the successive contraction, in chart order."""
+    terms = _hamilton_form(ls, g).terms
+    return [terms[(d.name,)] for d in ls.chart.dependent if (d.name,) in terms]
+
+
+@pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES if n != "vacuous-lepage"])
+def test_one_pass_equations_match_the_contraction_on_fixtures(name):
+    ls = fixture_lepage(name)
+    g = grassmann_extend(ls)
+    assert hamilton_equations(ls, g) == vertical_components(ls, g)
+
+
+@st.composite
+def explicit_lepage(draw):
+    """An explicit Theta of degree m = 1..3 and vertical degree <= 2, so that
+    dTheta has terms with two vertical names besides du^A."""
+    m = draw(st.integers(1, 3))
+    xs = [f"x{i}" for i in range(1, m + 1)]
+    ys = ["y1", "y2", "y3"]
+    ch = Chart(xs, [Dependent(n, "field") for n in ys])
+    names = xs + ys
+    shapes = [c for c in itertools.combinations(names, m) if sum(n in ys for n in c) <= 2]
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        idx = draw(st.sampled_from(shapes))
+        coef = Scalar.const(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2))))
+        for n in draw(st.lists(st.sampled_from(names), max_size=3)):
+            coef = coef * V(n)
+        terms[idx] = terms.get(idx, ZERO) + coef
+    return build_lepage_explicit(ch, Form(ch, m, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(explicit_lepage())
+def test_one_pass_equations_match_the_contraction_on_explicit_theta(ls):
+    g = grassmann_extend(ls)
+    assert hamilton_equations(ls, g) == vertical_components(ls, g)
+
+
+def test_one_pass_equations_sum_every_bijection():
+    # Omega = y3 dy1/\dy2/\dy3 on (x1, x2): sigma_3 = y3 (Zy1_x1 Zy2_x2 - Zy2_x1 Zy1_x2)
+    ch = Chart(["x1", "x2"], [Dependent(f"y{i}", "field") for i in (1, 2, 3)])
+    d = lambda n: Form.differential(ch, n)
+    ls = build_lepage_explicit(ch, d("y1").wedge(d("y2")).scale(V("y3") ** 2 / 2))
+    g = grassmann_extend(ls)
+    eqs = hamilton_equations(ls, g)
+    assert eqs == vertical_components(ls, g)
+    assert eqs[2] == V("y3") * (V("Zy1_x1") * V("Zy2_x2") - V("Zy2_x1") * V("Zy1_x2"))
 
 
 def test_equation_quadratic_in_z_raises_nonlinear():

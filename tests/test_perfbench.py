@@ -34,3 +34,20 @@ def test_round_zero_reaches_every_traced_layer(monkeypatch):
             tracer.uninstall()
         assert result.failures == [], workload
         assert tracer.unreached(workload) == [], workload
+
+
+REPORT_SHA256 = {
+    "ladder-deep": "c2cb0d68075c5165b78d13b1e4b04148b89139fafd1c6e6a6db36716e018a624",
+    "maxwell-metrics": "ae2f71a79c443ad0c48afb5c52dac39f8d8e6b08cb4449847dd434a4ef59aa23",
+    "mechanics-batch": "237f3c3ba89c646ac91c72ccad21775ac95dfb5c08c5c00789309b06f1d68091",
+}
+
+
+def test_round_zero_reports_keep_their_digests(monkeypatch):
+    # the golden fixture digests hold maxwell at its default metric only;
+    # these cover the seeded rational metrics and parameters of each workload
+    run, workloads = (load(n, monkeypatch) for n in ("run", "workloads"))
+    for workload, digest in REPORT_SHA256.items():
+        result = run.run_pass(workloads.Rounds(workload, 1).round(0), cartaneds)
+        assert result.failures == [], workload
+        assert result.digest == digest, workload

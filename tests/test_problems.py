@@ -254,6 +254,65 @@ def test_sum_body_is_one_expression():
         parse_expression("sum(i : u", c)
 
 
+def maxwell_context():
+    doc = parse_problem(fixture_text("maxwell"))
+    return ctx_for(doc.chart, ranges={n: [1, 2, 3, 4] for n in "ijkl"},
+                   antisym={"F": True, "P": True}, metric=doc.metric)
+
+
+def test_sum_body_is_parsed_once(monkeypatch):
+    from cartaneds.problems import ExprParser
+    c = maxwell_context()
+    lagrangian, = (line.split("=", 1)[1] for line in fixture_text("maxwell").splitlines()
+                   if line.startswith("lagrangian ="))
+    atom, atoms = ExprParser.atom, []
+    monkeypatch.setattr(ExprParser, "atom", lambda self: atoms.append(1) or atom(self))
+    got = parse_expression(lagrangian, c).as_scalar()
+    # (1/4) reads three atoms and sum(...) one; its body reads four, not
+    # four for each of its 256 bindings
+    assert len(atoms) == 3 + 1 + 4
+    g = (-1, 1, 1, 1)
+    want = sum((Fraction(g[i - 1] * g[k - 1], 2) * Scalar.var(f"F_{i}{k}") ** 2
+                for i in range(1, 5) for k in range(i + 1, 5)), Scalar.const(0))
+    assert got == want
+
+
+def test_zero_factor_still_resolves_the_other_factors():
+    c = maxwell_context()
+    with pytest.raises(ParseError, match="undeclared name 'Q_11'"):
+        parse_expression("sum(i,j : g[i,j]*Q[i,j])", c)
+    with pytest.raises(ParseError, match=r"g indices must lie in 1\.\.m"):
+        parse_expression("sum(i,j : g[i,j]*g[i,9])", c)
+    # g[1,2] = 0 skips the product, but each later factor is still read
+    with pytest.raises(ParseError, match="undeclared name 'Q'"):
+        parse_expression("g[1,2]*F[1,2]*Q", c)
+    with pytest.raises(ParseError, match=r"g indices must lie in 1\.\.m"):
+        parse_expression("g[1,2]*g[1,9]", c)
+    zero = parse_expression("g[1,2]*F[1,2]", c)
+    assert zero.is_zero() and zero.degree == 0
+
+
+def test_syntax_error_is_reported_before_an_error_of_value(tmp_path, capsys):
+    from cartaneds.cli import main
+    c = ctx_for(CH)
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_expression("u + 1/0", c)
+    with pytest.raises(ParseError, match=r"trailing input at '\)'"):
+        parse_expression("u + 1/0 )", c)
+    with pytest.raises(ParseError, match="unexpected token None"):
+        parse_expression("u + 1/0 +", c)
+    with pytest.raises(ParseError, match="unexpected token None"):
+        parse_expression("bogus + (", c)
+    text = fixture_text("maxwell")
+    bad = tmp_path / "bad.prob"
+    bad.write_text(text.replace("*F[j,l])\n", "*F[j,l]) + 1/0 )\n", 1))
+    assert bad.read_text() != text
+    assert main(["analyze", str(bad)]) == 65
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("error: trailing input at ')' (line 12, col ")
+
+
 def test_documented_example_parses():
     doc_text = (Path(__file__).resolve().parent.parent / "docs" / "problem-format.md").read_text()
     block = doc_text.split("```")[1]
